@@ -6,7 +6,9 @@ geometrically decreasing weights ``alpha**k`` to the k-th firing neuron,
 so cosine similarity between codes privileges agreement at early ranks.
 
 Significance vectors are plain float64 numpy arrays of length M; the
-structured type is :class:`RankOrderCode`.
+structured type is :class:`RankOrderCode`. Only N of their M entries are
+non-zero, so a product of a matrix with one touches N of its columns
+(:func:`support_matvec`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "RankOrderCode",
     "to_significance",
     "cosine_sim",
+    "support_matvec",
     "nofm",
     "is_canonical",
     "random_code",
@@ -101,6 +104,21 @@ def cosine_sim(a: FloatVector, b: FloatVector) -> float:
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("cosine similarity of a zero vector is undefined")
     return float(np.dot(a, b) / math.sqrt(na * nb))
+
+
+def support_matvec(matrix: FloatVector, v: FloatVector) -> FloatVector:
+    """``matrix @ v`` over the support of v: ``matrix[:, s] @ v[s]``, s = nonzero(v).
+
+    Equal to the dense product up to summation order (the last ulp). The
+    gather is cheap when matrix is column-major, where each selected column
+    is contiguous; an all-zero v gives the zero vector.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or matrix.ndim != 2 or matrix.shape[1] != v.size:
+        raise ParameterError(f"cannot multiply a {matrix.shape} matrix by a {v.shape} vector")
+    # a boolean mask finds the support several times faster than flatnonzero(v)
+    s = np.flatnonzero(v != 0.0)
+    return matrix[:, s] @ v[s]
 
 
 def nofm(v: FloatVector, n: int, params: CodeParams) -> RankOrderCode:

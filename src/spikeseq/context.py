@@ -10,6 +10,11 @@ give the gate a consistent meaning across input magnitudes). After top-N
 selection the canonical geometric weights are reassigned by descending
 blended magnitude, so the state stays in the code space the address
 decoder consumes.
+
+The projections are stored column-major. The history and the input are
+N-of-M codes, so each product gathers only the N projection columns of
+their support (:func:`~spikeseq.codes.support_matvec`); the empty start
+history gives a zero history term.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeParams, FloatVector, nofm, to_significance
+from .codes import CodeParams, FloatVector, nofm, support_matvec, to_significance
 from .errors import DegenerateInputError, ParameterError
 
 __all__ = ["ContextConfig", "ContextState", "update_context", "random_projection"]
@@ -39,6 +44,8 @@ def _scale(v: FloatVector) -> FloatVector:
 
 @dataclass(frozen=True)
 class ContextConfig:
+    """Gate, projections and code geometry; the projections are stored column-major."""
+
     lambda_gate: float
     p1: FloatVector  # context -> context, (M_c, M_c)
     p2: FloatVector  # input -> context, (M_c, M_i)
@@ -52,6 +59,8 @@ class ContextConfig:
             raise ParameterError(f"p1 must be ({m_c}, {m_c}), got {self.p1.shape}")
         if self.p2.ndim != 2 or self.p2.shape[0] != m_c:
             raise ParameterError(f"p2 must have {m_c} rows, got {self.p2.shape}")
+        object.__setattr__(self, "p1", np.asfortranarray(self.p1, dtype=np.float64))
+        object.__setattr__(self, "p2", np.asfortranarray(self.p2, dtype=np.float64))
 
     @classmethod
     def random(
@@ -98,9 +107,9 @@ def update_context(
     lam = cfg.lambda_gate
     blend = np.zeros(cfg.code_params.m_total)
     if lam > 0.0:
-        blend += lam * _scale(cfg.p1 @ prev.vector)
+        blend += lam * _scale(support_matvec(cfg.p1, prev.vector))
     if lam < 1.0:
-        blend += (1.0 - lam) * _scale(cfg.p2 @ input_vec)
+        blend += (1.0 - lam) * _scale(support_matvec(cfg.p2, input_vec))
     if not np.any(blend):
         raise DegenerateInputError("blended context drive is identically zero")
     code = nofm(blend, cfg.code_params.n_active, cfg.code_params)

@@ -6,6 +6,22 @@ weighted by their similarity (a flag switches to binary contribution).
 Storage is a correlation matrix updated by the elementwise max of the
 outer product of the data significance vector with the activation
 pattern, which makes writes idempotent and order-independent.
+
+Every per-step operation touches only the supports: a context has N of M
+entries non-zero and a few of the W locations are active. The address
+matrix (W, M) and the correlation matrix (M, W) are stored column-major,
+so that addressing gathers the N address columns of the context's support
+and a read gathers the active location columns
+(:func:`~spikeseq.codes.support_matvec`). A write is a scatter-max over
+data support x active locations; its products are the single multiplies
+of the dense outer product, so the matrix is bit-identical to a dense
+write.
+
+Threshold invariant: the calibrated threshold is itself one of the
+discrete cosine levels that addressing computes, so ``sims >= threshold``
+decides exact float ties. Addressing and calibration therefore compute
+cosines with the same kernel and the same row norms, and the row norms are
+those of the row-major matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import CodeParams, FloatVector, RankOrderCode, nofm, random_code, to_significance
+from .codes import CodeParams, FloatVector, RankOrderCode, nofm, support_matvec
 from .errors import NoActiveLocationError, ParameterError
 
 __all__ = [
@@ -33,13 +49,42 @@ __all__ = [
 SNAPSHOT_MAGIC = b"SDMW"
 SNAPSHOT_HEADER = struct.Struct("<4sIIIqd")  # magic, version, data_dim, W, seed, theta
 SNAPSHOT_VERSION = 1
+_NORM_BLOCK = 512  # rows per row-major block in _row_norms
+
+
+def _row_norms(rows: FloatVector) -> FloatVector:
+    """``np.linalg.norm(rows, axis=1)`` bit for bit as on a row-major matrix.
+
+    A column-major matrix reduces each row in another order, which moves
+    the last ulp of some norms and flips active locations that sit exactly
+    on the threshold. Blocks keep the row-major copies small.
+    """
+    blocks = [
+        np.linalg.norm(np.ascontiguousarray(rows[i : i + _NORM_BLOCK]), axis=1)
+        for i in range(0, rows.shape[0], _NORM_BLOCK)
+    ]
+    return np.concatenate(blocks) if blocks else np.zeros(0)
+
+
+def _random_rows(n: int, params: CodeParams, rng: np.random.Generator, order: str = "C"):
+    """n stacked random significance vectors, drawn as ``random_code`` draws them."""
+    firing = np.array(
+        [rng.permutation(params.m_total)[: params.n_active] for _ in range(n)], dtype=np.intp
+    ).reshape(n, params.n_active)
+    rows = np.zeros((n, params.m_total), order=order)
+    rows[np.arange(n)[:, None], firing] = params.significances
+    return rows
 
 
 @dataclass
 class AddressDecoder:
-    """W random canonical address codes plus an activation threshold."""
+    """W random canonical address codes plus an activation threshold.
 
-    addresses: FloatVector  # (W, M) stacked significance vectors
+    The addresses are stored column-major; every row must be finite and
+    not all-zero, since its cosine with any context is otherwise undefined.
+    """
+
+    addresses: FloatVector  # (W, M) stacked significance vectors, column-major
     threshold: float
     code_params: CodeParams
     binary: bool = False  # True: active locations contribute weight 1
@@ -53,7 +98,11 @@ class AddressDecoder:
             raise ParameterError(
                 f"addresses must be (W, {self.code_params.m_total}), got {self.addresses.shape}"
             )
-        self._row_norms = np.linalg.norm(self.addresses, axis=1)
+        self.addresses = np.asfortranarray(self.addresses, dtype=np.float64)
+        self._row_norms = _row_norms(self.addresses)
+        bad = ~(np.isfinite(self._row_norms) & (self._row_norms > 0.0))
+        if bad.any():
+            raise ParameterError(f"address row {int(np.argmax(bad))} is all-zero or non-finite")
 
     @property
     def n_locations(self) -> int:
@@ -69,9 +118,7 @@ class AddressDecoder:
         binary: bool = False,
     ) -> "AddressDecoder":
         rng = np.random.default_rng(seed)
-        rows = np.stack(
-            [to_significance(random_code(code_params, rng)) for _ in range(n_locations)]
-        )
+        rows = _random_rows(n_locations, code_params, rng, order="F")
         return cls(rows, threshold, code_params, binary=binary, seed=seed)
 
 
@@ -91,12 +138,17 @@ class ActivationPattern:
 
 
 def decode_address(context: FloatVector, dec: AddressDecoder) -> ActivationPattern:
-    """Similarity of the context to every address, gated by the threshold."""
+    """Similarity of the context to every address, gated by the threshold.
+
+    Raises ParameterError on an all-zero or non-finite context.
+    """
     context = np.asarray(context, dtype=np.float64)
     cnorm = np.linalg.norm(context)
+    if not np.isfinite(cnorm):
+        raise ParameterError("context vector is non-finite")
     if cnorm == 0.0:
         raise ParameterError("context vector is all-zero")
-    sims = (dec.addresses @ context) / (dec._row_norms * cnorm)
+    sims = support_matvec(dec.addresses, context) / (dec._row_norms * cnorm)
     # float guards: cosine of non-negative codes lies in [0, 1], and a context
     # identical to a stored address must compare exactly equal to 1
     np.clip(sims, 0.0, 1.0, out=sims)
@@ -111,25 +163,38 @@ def decode_address(context: FloatVector, dec: AddressDecoder) -> ActivationPatte
 
 @dataclass
 class CorrelationMatrix:
-    """Non-negative (data_dim, W) weight matrix under the max write rule."""
+    """Non-negative (data_dim, W) weight matrix under the max write rule.
+
+    ``zeros`` and ``load_memory`` store it column-major, so that a read
+    gathers whole location columns; any layout gives the same results.
+    """
 
     w: FloatVector
 
     @classmethod
     def zeros(cls, data_dim: int, n_locations: int) -> "CorrelationMatrix":
-        return cls(np.zeros((data_dim, n_locations)))
+        return cls(np.zeros((data_dim, n_locations), order="F"))
 
 
 def cmm_write(
     cmm: CorrelationMatrix, activation: ActivationPattern, data: FloatVector
 ) -> CorrelationMatrix:
-    """In-place max outer-product write; returns the matrix for chaining."""
+    """In-place max outer-product write; returns the matrix for chaining.
+
+    Only the block data support x active locations is read and written:
+    outside it the outer product is zero and the non-negative matrix keeps
+    its value under the max.
+    """
     data = np.asarray(data, dtype=np.float64)
-    if cmm.w.shape != (data.size, activation.weights.size):
+    weights = activation.weights
+    if cmm.w.shape != (data.size, weights.size):
         raise ParameterError(
-            f"matrix is {cmm.w.shape}, write is ({data.size}, {activation.weights.size})"
+            f"matrix is {cmm.w.shape}, write is ({data.size}, {weights.size})"
         )
-    np.maximum(cmm.w, np.outer(data, activation.weights), out=cmm.w)
+    rows = np.flatnonzero(data != 0.0)
+    cols = np.flatnonzero(weights != 0.0)
+    block = (rows[:, None], cols)
+    cmm.w[block] = np.maximum(cmm.w[block], np.outer(data[rows], weights[cols]))
     return cmm
 
 
@@ -144,7 +209,7 @@ def cmm_read(
     """
     if activation.n_active == 0:
         raise NoActiveLocationError("no address-decoder location is active")
-    readout = cmm.w @ activation.weights
+    readout = support_matvec(cmm.w, activation.weights)
     confidence = activation.total if np.any(readout) else 0.0
     return nofm(readout, params.n_active, params), confidence
 
@@ -159,17 +224,19 @@ def calibrate_threshold(
     """Pick a threshold so random contexts activate ~target_active locations.
 
     Uses the median over seeded probe contexts of the target_active-th
-    largest address similarity.
+    largest address similarity, computed as ``decode_address`` computes it
+    (same kernel, layout and row norms), so the threshold is a cosine level
+    that addressing reproduces exactly.
     """
     if target_active < 1 or target_active > addresses.shape[0]:
         raise ParameterError(f"target_active out of range: {target_active}")
-    rng = np.random.default_rng(seed)
-    norms = np.linalg.norm(addresses, axis=1)
+    addresses = np.asfortranarray(addresses, dtype=np.float64)
+    norms = _row_norms(addresses)
+    probes = _random_rows(n_probes, code_params, np.random.default_rng(seed))
     kth = np.empty(n_probes)
-    for i in range(n_probes):
-        c = to_significance(random_code(code_params, rng))
-        sims = (addresses @ c) / (norms * np.linalg.norm(c))
-        kth[i] = np.sort(sims)[-target_active]
+    for i, c in enumerate(probes):
+        sims = support_matvec(addresses, c) / (norms * np.linalg.norm(c))
+        kth[i] = np.partition(sims, -target_active)[-target_active]
     return float(np.median(kth))
 
 
@@ -186,23 +253,31 @@ def save_memory(path, cmm: CorrelationMatrix, dec: AddressDecoder) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(cmm.w, dtype="<f8").tobytes())
+        fh.write(np.asarray(cmm.w, dtype="<f8").tobytes(order="C"))
 
 
 def load_memory(path) -> tuple[CorrelationMatrix, dict]:
-    """Load a snapshot; returns the matrix and the header fields."""
+    """Load a snapshot; returns the matrix and the header fields.
+
+    Raises ParameterError on a foreign, truncated or over-long file.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(SNAPSHOT_HEADER.size)
+        if len(raw) != SNAPSHOT_HEADER.size:
+            raise ParameterError(
+                f"snapshot header has {len(raw)} bytes, expected {SNAPSHOT_HEADER.size}"
+            )
         magic, version, data_dim, n_loc, seed, theta = SNAPSHOT_HEADER.unpack(raw)
         if magic != SNAPSHOT_MAGIC:
             raise ParameterError(f"not a memory snapshot (magic {magic!r})")
         if version != SNAPSHOT_VERSION:
             raise ParameterError(f"unsupported snapshot version {version}")
-        body = np.frombuffer(fh.read(), dtype="<f8")
-    if body.size != data_dim * n_loc:
+        body = fh.read()
+    if len(body) != 8 * data_dim * n_loc:
         raise ParameterError(
-            f"snapshot body has {body.size} entries, expected {data_dim * n_loc}"
+            f"snapshot body has {len(body)} bytes, expected {8 * data_dim * n_loc}"
         )
-    w = body.reshape(data_dim, n_loc).astype(np.float64)
+    w = np.frombuffer(body, dtype="<f8").reshape(data_dim, n_loc)
+    w = np.asfortranarray(w, dtype=np.float64)
     meta = {"data_dim": data_dim, "n_locations": n_loc, "seed": seed, "threshold": theta}
     return CorrelationMatrix(w), meta

@@ -13,6 +13,7 @@ garbage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +50,14 @@ class Codebook:
     code_params: CodeParams
     codes: list[RankOrderCode]
     encode_matrix: FloatVector = field(init=False)  # (A, M) stacked significances
+    _row_norms: FloatVector = field(init=False, repr=False)  # (A,) norms of encode_matrix
 
     def __post_init__(self) -> None:
         orders = {c.firing_order for c in self.codes}
         if len(orders) != len(self.codes):
             raise ParameterError("codebook codes must be pairwise distinct")
         self.encode_matrix = np.stack([to_significance(c) for c in self.codes])
+        self._row_norms = np.linalg.norm(self.encode_matrix, axis=1)
 
     @property
     def alphabet_size(self) -> int:
@@ -64,6 +67,11 @@ class Codebook:
     def random(
         cls, alphabet_size: int, code_params: CodeParams, rng: np.random.Generator
     ) -> "Codebook":
+        n_codes = math.perm(code_params.m_total, code_params.n_active)
+        if alphabet_size > n_codes:
+            raise ParameterError(
+                f"alphabet of {alphabet_size} symbols exceeds the {n_codes} distinct codes"
+            )
         codes: list[RankOrderCode] = []
         seen: set[tuple[int, ...]] = set()
         while len(codes) < alphabet_size:
@@ -92,8 +100,7 @@ def decode_burst(cb: Codebook, burst: FloatVector) -> tuple[int, float]:
     bnorm = np.linalg.norm(burst)
     if bnorm == 0.0:
         raise DegenerateInputError("cannot decode an all-zero burst")
-    row_norms = np.linalg.norm(cb.encode_matrix, axis=1)
-    scores = (cb.encode_matrix @ burst) / (row_norms * bnorm)
+    scores = (cb.encode_matrix @ burst) / (cb._row_norms * bnorm)
     best = int(np.argmax(scores))
     if cb.alphabet_size == 1:
         return best, float(scores[best])

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spikeseq.codes import (
     CodeParams,
@@ -14,6 +17,7 @@ from spikeseq.codes import (
     is_canonical,
     nofm,
     random_code,
+    support_matvec,
     to_significance,
 )
 from spikeseq.errors import DegenerateInputError, ParameterError
@@ -215,3 +219,32 @@ def test_earlier_rank_agreement_dominates():
                             x > y for x, y in zip(qb, pb)
                         ):
                             assert sim_for_rank_positions(list(qa), list(qb)) < base
+
+
+_entries = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    fortran=st.booleans(),
+    data=st.data(),
+)
+def test_support_matvec_matches_dense_product(shape, fortran, data):
+    matrix = data.draw(arrays(np.float64, shape, elements=_entries))
+    if fortran:
+        matrix = np.asfortranarray(matrix)
+    # mostly zeros, like an N-of-M code
+    v = data.draw(arrays(np.float64, shape[1], elements=st.one_of(st.just(0.0), _entries)))
+    got = support_matvec(matrix, v)
+    # the two sums differ only in order: bound the error by the absolute sum,
+    # plus the smallest normal float for products that underflow
+    bound = 1e-12 * (np.abs(matrix) @ np.abs(v)) + np.finfo(np.float64).tiny
+    assert np.all(np.abs(got - matrix @ v) <= bound)
+
+
+def test_support_matvec_zero_vector_and_shape_check():
+    matrix = np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(support_matvec(matrix, np.zeros(3)), np.zeros(2))
+    with pytest.raises(ParameterError):
+        support_matvec(matrix, np.ones(2))

@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spikeseq.codes import CodeParams, cosine_sim, random_code, to_significance
 from spikeseq.errors import NoActiveLocationError, ParameterError
@@ -16,6 +19,7 @@ from spikeseq.sdm import (
     load_memory,
     save_memory,
 )
+from spikeseq.seqmachine import SequenceMachine
 
 
 def _decoder(seed=0, w=8, m=16, n=4, theta=0.5, binary=False):
@@ -205,3 +209,110 @@ def test_snapshot_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ParameterError):
         load_memory(path)
+
+
+def test_random_decoder_draws_codes_like_random_code():
+    p = CodeParams(64, 6, 0.9)
+    rng = np.random.default_rng(17)
+    reference = np.stack([to_significance(random_code(p, rng)) for _ in range(40)])
+    dec = AddressDecoder.random(40, p, 0.3, seed=17)
+    assert np.array_equal(dec.addresses, reference)
+    assert dec.addresses.flags.f_contiguous
+
+
+@pytest.mark.parametrize("n_locations", [512, 4096])
+def test_active_set_matches_dense_reference_at_calibrated_threshold(n_locations):
+    # the calibrated threshold is a cosine level that many contexts hit
+    # exactly, so `sims >= threshold` decides float ties: the row norms and
+    # the product must reproduce the row-major dense computation
+    for seed in range(4):
+        dec = SequenceMachine(n_locations=n_locations, seed=seed).decoder
+        rows = np.ascontiguousarray(dec.addresses)
+        norms = np.linalg.norm(rows, axis=1)
+        assert np.array_equal(dec._row_norms, norms)
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            ctx = to_significance(random_code(dec.code_params, rng))
+            ref = (rows @ ctx) / (norms * np.linalg.norm(ctx))
+            weights = decode_address(ctx, dec).weights
+            active = ref >= dec.threshold
+            assert np.array_equal(weights > 0.0, active)
+            np.testing.assert_allclose(weights[active], ref[active], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_decoder_rejects_degenerate_address_row(bad):
+    rows = _decoder().addresses.copy()
+    rows[3] = 0.0
+    rows[3, 0] = bad
+    with pytest.raises(ParameterError, match="row 3"):
+        AddressDecoder(rows, 0.5, CodeParams(16, 4, 0.9))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_rejects_non_finite_context(bad):
+    dec = _decoder()
+    ctx = to_significance(random_code(dec.code_params, np.random.default_rng(0)))
+    ctx[0] = bad
+    with pytest.raises(ParameterError, match="non-finite"):
+        decode_address(ctx, dec)
+
+
+def test_snapshot_rejects_truncated_and_overlong_files(tmp_path):
+    dec = _decoder()
+    path = tmp_path / "mem.sdm"
+    save_memory(path, CorrelationMatrix(np.ones((16, 8))), dec)
+    raw = path.read_bytes()
+    for cut in (raw[:20], raw[:32], raw[:-1], raw[:-8], raw + b"\x00" * 8):
+        path.write_bytes(cut)
+        with pytest.raises(ParameterError):
+            load_memory(path)
+
+
+_weights = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+def _matrix(shape, data):
+    w = data.draw(arrays(np.float64, shape, elements=_weights))
+    return np.asfortranarray(w) if data.draw(st.booleans()) else w
+
+
+def _writes(data, m, n_loc, count):
+    """(activation, data) pairs; all-zero activations are drawn among them."""
+    return [
+        (
+            ActivationPattern(data.draw(arrays(np.float64, n_loc, elements=_weights))),
+            data.draw(arrays(np.float64, m, elements=_weights)),
+        )
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 10), st.integers(1, 10)), data=st.data())
+def test_sparse_write_equals_dense_max_bit_for_bit(shape, data):
+    w = _matrix(shape, data)
+    [(act, vec)] = _writes(data, *shape, 1)
+    want = np.maximum(w, np.outer(vec, act.weights))
+    cmm = CorrelationMatrix(w.copy(order="A"))
+    cmm_write(cmm, act, vec)
+    assert cmm.w.tobytes() == want.tobytes()  # C order, whatever the layout
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)), data=st.data())
+def test_write_idempotent_and_order_independent(shape, data):
+    writes = _writes(data, *shape, data.draw(st.integers(1, 6)))
+    writes.append((ActivationPattern(np.zeros(shape[1])), np.ones(shape[0])))
+    order = data.draw(st.permutations(range(len(writes))))
+    start = _matrix(shape, data)
+    finals = []
+    for sequence in (range(len(writes)), order, [*order, *order]):
+        cmm = CorrelationMatrix(start.copy(order="A"))
+        for i in sequence:
+            cmm_write(cmm, *writes[i])
+        finals.append(cmm.w.tobytes())
+    assert finals[0] == finals[1] == finals[2]
+    cmm = CorrelationMatrix(start.copy(order="A"))
+    cmm_write(cmm, *writes[-1])
+    assert np.array_equal(cmm.w, start)

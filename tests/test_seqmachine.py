@@ -164,3 +164,11 @@ def test_readout_feedback_mode_runs():
     learn_sequence(m, [0, 1, 2, 3])
     r = recall_sequence(m, [0], 3)
     assert r.symbols[:1] == [1]
+
+
+def test_codebook_larger_than_code_space_rejected():
+    # 4 ordered 1-of-4 codes exist: a fifth symbol must fail, not loop forever
+    p = CodeParams(4, 1, 0.5)
+    assert Codebook.random(4, p, np.random.default_rng(0)).alphabet_size == 4
+    with pytest.raises(ParameterError):
+        Codebook.random(5, p, np.random.default_rng(0))
