@@ -6,8 +6,11 @@ geometrically decreasing weights ``alpha**k`` to the k-th firing neuron,
 so cosine similarity between codes privileges agreement at early ranks.
 
 Significance vectors are plain float64 numpy arrays of length M; the
-structured type is :class:`RankOrderCode`. Only N of their M entries are
-non-zero, so a product of a matrix with one touches N of its columns
+structured type is :class:`RankOrderCode`. A code's support is the
+ascending array of its N firing indices. The engine carries each code's
+support next to its significance vector (context states, activation
+patterns, codewords), so a product of a matrix with a code gathers the N
+columns of a support it is given and never searches the vector for it
 (:func:`support_matvec`).
 """
 
@@ -25,6 +28,7 @@ __all__ = [
     "CodeParams",
     "RankOrderCode",
     "to_significance",
+    "vector_norm",
     "cosine_sim",
     "support_matvec",
     "nofm",
@@ -36,6 +40,7 @@ __all__ = [
 ]
 
 FloatVector = NDArray[np.float64]
+IndexVector = NDArray[np.intp]
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,8 @@ class CodeParams:
     m_total: int
     n_active: int
     alpha: float
+    # the canonical weight set [1, alpha, ..., alpha**(N-1)], read-only
+    significances: FloatVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_active <= self.m_total:
@@ -53,11 +60,9 @@ class CodeParams:
             )
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
-
-    @property
-    def significances(self) -> FloatVector:
-        """The canonical weight set [1, alpha, ..., alpha**(N-1)]."""
-        return self.alpha ** np.arange(self.n_active, dtype=np.float64)
+        sig = self.alpha ** np.arange(self.n_active, dtype=np.float64)
+        sig.flags.writeable = False
+        object.__setattr__(self, "significances", sig)
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ class RankOrderCode:
     firing_order: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        order = tuple(int(i) for i in self.firing_order)
+        order = tuple(np.asarray(self.firing_order, dtype=np.intp).tolist())
         object.__setattr__(self, "firing_order", order)
         if len(order) != self.params.n_active:
             raise ParameterError(
@@ -76,17 +81,31 @@ class RankOrderCode:
             )
         if len(set(order)) != len(order):
             raise ParameterError("firing_order indices must be distinct")
-        if order and not all(0 <= i < self.params.m_total for i in order):
+        if min(order) < 0 or max(order) >= self.params.m_total:
             raise ParameterError(
                 f"firing_order indices must lie in [0, {self.params.m_total})"
             )
+
+    @property
+    def support(self) -> IndexVector:
+        """The firing indices in ascending order."""
+        return np.array(sorted(self.firing_order), dtype=np.intp)
 
 
 def to_significance(code: RankOrderCode) -> FloatVector:
     """Dense significance vector: alpha**k at firing_order[k], zero elsewhere."""
     out = np.zeros(code.params.m_total, dtype=np.float64)
-    out[list(code.firing_order)] = code.params.significances
+    out.put(code.firing_order, code.params.significances)
     return out
+
+
+def vector_norm(v: FloatVector) -> float:
+    """L2 norm of a 1-D vector, ``math.sqrt(v.dot(v))``.
+
+    Bit for bit the value of ``np.linalg.norm(v)``, which computes the same
+    square root of the same dot product, without its dispatch overhead.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def cosine_sim(a: FloatVector, b: FloatVector) -> float:
@@ -106,38 +125,47 @@ def cosine_sim(a: FloatVector, b: FloatVector) -> float:
     return float(np.dot(a, b) / math.sqrt(na * nb))
 
 
-def support_matvec(matrix: FloatVector, v: FloatVector) -> FloatVector:
-    """``matrix @ v`` over the support of v: ``matrix[:, s] @ v[s]``, s = nonzero(v).
+def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) -> FloatVector:
+    """``matrix @ v`` over the given support of v: ``matrix[:, support] @ v[support]``.
 
-    Equal to the dense product up to summation order (the last ulp). The
-    gather is cheap when matrix is column-major, where each selected column
-    is contiguous; an all-zero v gives the zero vector.
+    ``support`` holds, in ascending order, every index where v is non-zero
+    (it may hold zeros of v as well); the caller carries it with the code,
+    so it is not searched for here. Equal to the dense product up to
+    summation order (the last ulp). The gather is cheap when matrix is
+    column-major, where each selected column is contiguous; an empty
+    support gives the zero vector.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or matrix.ndim != 2 or matrix.shape[1] != v.size:
         raise ParameterError(f"cannot multiply a {matrix.shape} matrix by a {v.shape} vector")
-    # a boolean mask finds the support several times faster than flatnonzero(v)
-    s = np.flatnonzero(v != 0.0)
-    return matrix[:, s] @ v[s]
+    return matrix[:, support] @ v[support]
 
 
 def nofm(v: FloatVector, n: int, params: CodeParams) -> RankOrderCode:
     """Select the n largest components of v as a rank-ordered code.
 
     Ordering is by descending component value; exact ties break toward the
-    lower index, which keeps every downstream result reproducible.
+    lower index, which keeps every downstream result reproducible. Raises
+    ParameterError on a non-finite component.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ParameterError(f"nofm expects a vector, got shape {v.shape}")
-    if n > v.size:
+    if not 1 <= n <= v.size:
         raise ParameterError(f"cannot select n={n} components from a length-{v.size} vector")
-    # lexsort: primary key -v (descending value), secondary key index (ascending)
-    order = np.lexsort((np.arange(v.size), -v))[:n]
+    if not np.isfinite(v).all():
+        raise ParameterError("nofm input is non-finite")
+    # the order of np.lexsort((index, -v))[:n]: every index whose value
+    # reaches the n-th largest is a candidate, and a stable sort of the
+    # ascending candidates by -v breaks ties toward the lower index
+    neg = -v
+    kth = np.partition(neg, n - 1)[n - 1]
+    candidates = (neg <= kth).nonzero()[0]
+    order = candidates[neg[candidates].argsort(kind="stable")[:n]]
     out_params = params
     if params.m_total != v.size or params.n_active != n:
         out_params = CodeParams(m_total=v.size, n_active=n, alpha=params.alpha)
-    return RankOrderCode(out_params, tuple(int(i) for i in order))
+    return RankOrderCode(out_params, order)
 
 
 def is_canonical(v: FloatVector, params: CodeParams) -> bool:
@@ -153,8 +181,7 @@ def is_canonical(v: FloatVector, params: CodeParams) -> bool:
 
 def random_code(params: CodeParams, rng: np.random.Generator) -> RankOrderCode:
     """Uniform random rank-ordered code (distinct indices, random order)."""
-    order = rng.permutation(params.m_total)[: params.n_active]
-    return RankOrderCode(params, tuple(int(i) for i in order))
+    return RankOrderCode(params, rng.permutation(params.m_total)[: params.n_active])
 
 
 def _check_nm(n: int, m: int) -> None:

@@ -12,9 +12,14 @@ blended magnitude, so the state stays in the code space the address
 decoder consumes.
 
 The projections are stored column-major. The history and the input are
-N-of-M codes, so each product gathers only the N projection columns of
-their support (:func:`~spikeseq.codes.support_matvec`); the empty start
-history gives a zero history term.
+N-of-M codes that carry their ascending support, so each product gathers
+only the N projection columns of that support
+(:func:`~spikeseq.codes.support_matvec`); the empty start history gives a
+zero history term.
+
+State is a value: :class:`ContextState` is immutable, ``update_context``
+returns a new one, and callers keep it in a local variable, so any number
+of chains can run over one configuration.
 """
 
 from __future__ import annotations
@@ -23,7 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeParams, FloatVector, nofm, support_matvec, to_significance
+from .codes import (
+    CodeParams,
+    FloatVector,
+    IndexVector,
+    nofm,
+    support_matvec,
+    to_significance,
+    vector_norm,
+)
 from .errors import DegenerateInputError, ParameterError
 
 __all__ = ["ContextConfig", "ContextState", "update_context", "random_projection"]
@@ -38,7 +51,7 @@ def random_projection(rows: int, cols: int, rng: np.random.Generator) -> FloatVe
 
 def _scale(v: FloatVector) -> FloatVector:
     """L2-normalize; the zero vector maps to itself."""
-    n = np.linalg.norm(v)
+    n = vector_norm(v)
     return v / n if n > 0.0 else v
 
 
@@ -82,22 +95,37 @@ class ContextConfig:
 
 @dataclass(frozen=True)
 class ContextState:
-    """Current context as a canonical significance vector."""
+    """Current context: a significance vector and its ascending support.
+
+    ``support`` holds every index where ``vector`` is non-zero, ascending.
+    The start state is all-zero with an empty support.
+    """
 
     vector: FloatVector
+    support: IndexVector
 
     @classmethod
     def from_code(cls, code) -> "ContextState":
-        return cls(to_significance(code))
+        return cls(to_significance(code), code.support)
+
+    @classmethod
+    def start(cls, m_total: int) -> "ContextState":
+        """The empty history: the first update then depends only on its input."""
+        return cls(np.zeros(m_total), np.zeros(0, dtype=np.intp))
 
 
 def update_context(
-    prev: ContextState, input_vec: FloatVector, cfg: ContextConfig
+    prev: ContextState,
+    input_vec: FloatVector,
+    input_support: IndexVector,
+    cfg: ContextConfig,
 ) -> ContextState:
     """One gated update; returns a canonical N-of-M context state.
 
-    Raises DegenerateInputError when the blended drive is identically zero
-    (possible at a gate boundary with a degenerate projection).
+    ``input_support`` is the ascending support of ``input_vec``. Raises
+    DegenerateInputError when the blended drive is identically zero
+    (possible at a gate boundary with a degenerate projection) and
+    ParameterError when it is non-finite.
     """
     input_vec = np.asarray(input_vec, dtype=np.float64)
     if input_vec.shape != (cfg.p2.shape[1],):
@@ -107,10 +135,10 @@ def update_context(
     lam = cfg.lambda_gate
     blend = np.zeros(cfg.code_params.m_total)
     if lam > 0.0:
-        blend += lam * _scale(support_matvec(cfg.p1, prev.vector))
+        blend += lam * _scale(support_matvec(cfg.p1, prev.vector, prev.support))
     if lam < 1.0:
-        blend += (1.0 - lam) * _scale(support_matvec(cfg.p2, input_vec))
-    if not np.any(blend):
+        blend += (1.0 - lam) * _scale(support_matvec(cfg.p2, input_vec, input_support))
+    if not blend.any():
         raise DegenerateInputError("blended context drive is identically zero")
     code = nofm(blend, cfg.code_params.n_active, cfg.code_params)
-    return ContextState(to_significance(code))
+    return ContextState(to_significance(code), code.support)

@@ -8,14 +8,16 @@ outer product of the data significance vector with the activation
 pattern, which makes writes idempotent and order-independent.
 
 Every per-step operation touches only the supports: a context has N of M
-entries non-zero and a few of the W locations are active. The address
-matrix (W, M) and the correlation matrix (M, W) are stored column-major,
-so that addressing gathers the N address columns of the context's support
-and a read gathers the active location columns
-(:func:`~spikeseq.codes.support_matvec`). A write is a scatter-max over
-data support x active locations; its products are the single multiplies
-of the dense outer product, so the matrix is bit-identical to a dense
-write.
+entries non-zero and a few of the W locations are active. Each carries its
+support: a :class:`~spikeseq.context.ContextState` its ascending N
+indices, an :class:`ActivationPattern` its ascending active locations,
+found once when the pattern is made. The address matrix (W, M) and the
+correlation matrix (M, W) are stored column-major, so that addressing
+gathers the N address columns of the context's support and a read gathers
+the active location columns (:func:`~spikeseq.codes.support_matvec`). A
+write is a scatter-max over data support x active locations; its products
+are the single multiplies of the dense outer product, so the matrix is
+bit-identical to a dense write.
 
 Threshold invariant: the calibrated threshold is itself one of the
 discrete cosine levels that addressing computes, so ``sims >= threshold``
@@ -26,12 +28,22 @@ those of the row-major matrix bit for bit.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import CodeParams, FloatVector, RankOrderCode, nofm, support_matvec
+from .codes import (
+    CodeParams,
+    FloatVector,
+    IndexVector,
+    RankOrderCode,
+    nofm,
+    support_matvec,
+    vector_norm,
+)
+from .context import ContextState
 from .errors import NoActiveLocationError, ParameterError
 
 __all__ = [
@@ -66,13 +78,24 @@ def _row_norms(rows: FloatVector) -> FloatVector:
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
-def _random_rows(n: int, params: CodeParams, rng: np.random.Generator, order: str = "C"):
-    """n stacked random significance vectors, drawn as ``random_code`` draws them."""
-    firing = np.array(
-        [rng.permutation(params.m_total)[: params.n_active] for _ in range(n)], dtype=np.intp
-    ).reshape(n, params.n_active)
-    rows = np.zeros((n, params.m_total), order=order)
-    rows[np.arange(n)[:, None], firing] = params.significances
+def _random_firing(n: int, params: CodeParams, rng: np.random.Generator) -> IndexVector:
+    """(n, N) firing orders, drawn as n calls of ``random_code`` draw them.
+
+    Permuting each row of an (n, M) tile consumes the generator exactly as
+    n calls of ``rng.permutation(M)`` do. The tile is permuted in place and
+    holds the smallest integer type that fits an index, so that drawing
+    adds little memory next to the (n, M) float rows the draws fill.
+    """
+    index_type = np.min_scalar_type(params.m_total - 1)
+    tile = np.tile(np.arange(params.m_total, dtype=index_type), (n, 1))
+    rng.permuted(tile, axis=1, out=tile)
+    return tile[:, : params.n_active].astype(np.intp)
+
+
+def _significance_rows(firing: IndexVector, params: CodeParams, order: str = "C"):
+    """Stacked significance vectors of the (n, N) firing orders."""
+    rows = np.zeros((firing.shape[0], params.m_total), order=order)
+    rows[np.arange(firing.shape[0])[:, None], firing] = params.significances
     return rows
 
 
@@ -117,47 +140,56 @@ class AddressDecoder:
         seed: int,
         binary: bool = False,
     ) -> "AddressDecoder":
-        rng = np.random.default_rng(seed)
-        rows = _random_rows(n_locations, code_params, rng, order="F")
+        firing = _random_firing(n_locations, code_params, np.random.default_rng(seed))
+        rows = _significance_rows(firing, code_params, order="F")
         return cls(rows, threshold, code_params, binary=binary, seed=seed)
 
 
 @dataclass(frozen=True)
 class ActivationPattern:
-    """Per-location contribution weights; zero below the decoder threshold."""
+    """Per-location contribution weights; zero below the decoder threshold.
+
+    ``active`` holds the locations with a non-zero weight, ascending; it is
+    found once, when the pattern is made, and reads and writes use it.
+    """
 
     weights: FloatVector
+    active: IndexVector = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "active", (self.weights != 0.0).nonzero()[0])
 
     @property
     def n_active(self) -> int:
-        return int(np.count_nonzero(self.weights))
+        return self.active.size
 
     @property
     def total(self) -> float:
         return float(self.weights.sum())
 
 
-def decode_address(context: FloatVector, dec: AddressDecoder) -> ActivationPattern:
+def decode_address(context: ContextState, dec: AddressDecoder) -> ActivationPattern:
     """Similarity of the context to every address, gated by the threshold.
 
     Raises ParameterError on an all-zero or non-finite context.
     """
-    context = np.asarray(context, dtype=np.float64)
-    cnorm = np.linalg.norm(context)
-    if not np.isfinite(cnorm):
+    cnorm = vector_norm(context.vector)
+    if not math.isfinite(cnorm):
         raise ParameterError("context vector is non-finite")
     if cnorm == 0.0:
         raise ParameterError("context vector is all-zero")
-    sims = support_matvec(dec.addresses, context) / (dec._row_norms * cnorm)
+    sims = support_matvec(dec.addresses, context.vector, context.support)
+    sims /= dec._row_norms * cnorm
     # float guards: cosine of non-negative codes lies in [0, 1], and a context
-    # identical to a stored address must compare exactly equal to 1
-    np.clip(sims, 0.0, 1.0, out=sims)
+    # identical to a stored address must compare exactly equal to 1 (the
+    # second line also clips the top of the range)
+    np.maximum(sims, 0.0, out=sims)
     sims[sims >= 1.0 - 1e-12] = 1.0
-    mask = sims >= dec.threshold
     if dec.binary:
-        weights = mask.astype(np.float64)
+        weights = (sims >= dec.threshold).astype(np.float64)
     else:
-        weights = np.where(mask, sims, 0.0)
+        sims[sims < dec.threshold] = 0.0
+        weights = sims
     return ActivationPattern(weights)
 
 
@@ -191,8 +223,8 @@ def cmm_write(
         raise ParameterError(
             f"matrix is {cmm.w.shape}, write is ({data.size}, {weights.size})"
         )
-    rows = np.flatnonzero(data != 0.0)
-    cols = np.flatnonzero(weights != 0.0)
+    rows = (data != 0.0).nonzero()[0]
+    cols = activation.active
     block = (rows[:, None], cols)
     cmm.w[block] = np.maximum(cmm.w[block], np.outer(data[rows], weights[cols]))
     return cmm
@@ -209,8 +241,10 @@ def cmm_read(
     """
     if activation.n_active == 0:
         raise NoActiveLocationError("no address-decoder location is active")
-    readout = support_matvec(cmm.w, activation.weights)
-    confidence = activation.total if np.any(readout) else 0.0
+    readout = support_matvec(cmm.w, activation.weights, activation.active)
+    # the sum over all W weights, not only the active ones: another summation
+    # order would move the last ulp of the confidence
+    confidence = activation.total if readout.any() else 0.0
     return nofm(readout, params.n_active, params), confidence
 
 
@@ -232,10 +266,11 @@ def calibrate_threshold(
         raise ParameterError(f"target_active out of range: {target_active}")
     addresses = np.asfortranarray(addresses, dtype=np.float64)
     norms = _row_norms(addresses)
-    probes = _random_rows(n_probes, code_params, np.random.default_rng(seed))
+    firing = _random_firing(n_probes, code_params, np.random.default_rng(seed))
+    probes = _significance_rows(firing, code_params)
     kth = np.empty(n_probes)
-    for i, c in enumerate(probes):
-        sims = support_matvec(addresses, c) / (norms * np.linalg.norm(c))
+    for i, (c, support) in enumerate(zip(probes, np.sort(firing, axis=1))):
+        sims = support_matvec(addresses, c, support) / (norms * vector_norm(c))
         kth[i] = np.partition(sims, -target_active)[-target_active]
     return float(np.median(kth))
 

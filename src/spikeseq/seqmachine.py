@@ -9,6 +9,13 @@ Recall is autoregressive: the decoded symbol's clean code is fed back by
 default (a flag switches to the raw readout code for degradation
 studies), and weak retrievals halt with a reason instead of emitting
 garbage.
+
+Every code on the step path carries its ascending support: the codebook
+caches each codeword's, the context state holds the one its update
+produced, and an activation pattern the locations it found active. The
+context state is a value that ``learn_sequence`` and ``recall_sequence``
+keep in a local variable; a machine holds its configuration and its
+memory, no state of a run.
 """
 
 from __future__ import annotations
@@ -18,7 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import CodeParams, FloatVector, RankOrderCode, random_code, to_significance
+from .codes import (
+    CodeParams,
+    FloatVector,
+    IndexVector,
+    RankOrderCode,
+    random_code,
+    to_significance,
+    vector_norm,
+)
 from .context import ContextConfig, ContextState, update_context
 from .errors import AlphabetError, DegenerateInputError, NoActiveLocationError, ParameterError
 from .sdm import (
@@ -45,18 +60,22 @@ __all__ = [
 
 @dataclass
 class Codebook:
-    """Alphabet of pairwise-distinct random rank-ordered codes."""
+    """Alphabet of one or more pairwise-distinct random rank-ordered codes."""
 
     code_params: CodeParams
     codes: list[RankOrderCode]
     encode_matrix: FloatVector = field(init=False)  # (A, M) stacked significances
+    supports: list[IndexVector] = field(init=False, repr=False)  # ascending, per code
     _row_norms: FloatVector = field(init=False, repr=False)  # (A,) norms of encode_matrix
 
     def __post_init__(self) -> None:
+        if not self.codes:
+            raise ParameterError("a codebook needs at least one code")
         orders = {c.firing_order for c in self.codes}
         if len(orders) != len(self.codes):
             raise ParameterError("codebook codes must be pairwise distinct")
         self.encode_matrix = np.stack([to_significance(c) for c in self.codes])
+        self.supports = [c.support for c in self.codes]
         self._row_norms = np.linalg.norm(self.encode_matrix, axis=1)
 
     @property
@@ -94,18 +113,22 @@ def decode_burst(cb: Codebook, burst: FloatVector) -> tuple[int, float]:
 
     Scores every symbol by cosine similarity to the burst; returns
     (symbol, margin) where margin is best minus second-best score and
-    ties fall to the lower symbol index.
+    ties fall to the lower symbol index. Raises ParameterError on a
+    non-finite burst and DegenerateInputError on an all-zero one.
     """
     burst = np.asarray(burst, dtype=np.float64)
-    bnorm = np.linalg.norm(burst)
+    bnorm = vector_norm(burst)
+    if not math.isfinite(bnorm):
+        raise ParameterError("burst is non-finite")
     if bnorm == 0.0:
         raise DegenerateInputError("cannot decode an all-zero burst")
     scores = (cb.encode_matrix @ burst) / (cb._row_norms * bnorm)
-    best = int(np.argmax(scores))
+    best = int(scores.argmax())
+    top = float(scores[best])
     if cb.alphabet_size == 1:
-        return best, float(scores[best])
-    second = float(np.partition(scores, -2)[-2])
-    return best, float(scores[best]) - second
+        return best, top
+    scores[best] = -np.inf  # the largest of the rest is the second-best score
+    return best, top - float(scores.max())
 
 
 @dataclass(frozen=True)
@@ -166,32 +189,29 @@ class SequenceMachine:
         )
         self.decoder = AddressDecoder(base.addresses, theta, self.params, seed=seed)
         self.memory = CorrelationMatrix.zeros(m_total, n_locations)
-        # empty-history start: the first update then depends only on the first
-        # input (the gate's history term vanishes, and nofm is scale-invariant)
-        self._start_state = ContextState(np.zeros(m_total))
-        self.state = self._start_state
 
-    def reset_state(self) -> None:
-        self.state = self._start_state
 
-    def _advance(self, input_vec: FloatVector) -> None:
-        self.state = update_context(self.state, input_vec, self.context_cfg)
+def _feed_symbol(m: SequenceMachine, state: ContextState, symbol: int) -> ContextState:
+    """The context after feeding the symbol's codeword."""
+    cb = m.codebook
+    return update_context(state, encode_symbol(cb, symbol), cb.supports[symbol], m.context_cfg)
 
 
 def learn_sequence(m: SequenceMachine, symbols: list[int]) -> SequenceMachine:
     """Single one-shot pass storing each next-symbol at its context address.
 
+    Each pass starts from the empty history (``ContextState.start``).
     Empty or length-1 sequences leave the memory untouched.
     """
     for s in symbols:
         if not 0 <= s < m.codebook.alphabet_size:
             raise AlphabetError(f"symbol {s} outside alphabet")
-    m.reset_state()
-    for t in range(1, len(symbols)):
-        m._advance(encode_symbol(m.codebook, symbols[t - 1]))
-        act = decode_address(m.state.vector, m.decoder)
+    state = ContextState.start(m.params.m_total)
+    for prev, nxt in zip(symbols, symbols[1:]):
+        state = _feed_symbol(m, state, prev)
+        act = decode_address(state, m.decoder)
         if act.n_active:
-            cmm_write(m.memory, act, encode_symbol(m.codebook, symbols[t]))
+            cmm_write(m.memory, act, encode_symbol(m.codebook, nxt))
     return m
 
 
@@ -205,12 +225,12 @@ def recall_sequence(m: SequenceMachine, seed_symbols: list[int], steps: int) -> 
         raise ParameterError("recall needs at least one seed symbol")
     if steps < 0:
         raise ParameterError("steps must be non-negative")
-    m.reset_state()
+    state = ContextState.start(m.params.m_total)
     for s in seed_symbols:
-        m._advance(encode_symbol(m.codebook, s))
+        state = _feed_symbol(m, state, s)
     out: list[RecallStep] = []
     for _ in range(steps):
-        act = decode_address(m.state.vector, m.decoder)
+        act = decode_address(state, m.decoder)
         try:
             code, confidence = cmm_read(m.memory, act, m.params)
         except NoActiveLocationError:
@@ -220,8 +240,10 @@ def recall_sequence(m: SequenceMachine, seed_symbols: list[int], steps: int) -> 
         burst = to_significance(code)
         symbol, margin = decode_burst(m.codebook, burst)
         out.append(RecallStep(symbol, margin, confidence))
-        feedback = encode_symbol(m.codebook, symbol) if m.feedback == "clean" else burst
-        m._advance(feedback)
+        if m.feedback == "clean":
+            state = _feed_symbol(m, state, symbol)
+        else:
+            state = update_context(state, burst, code.support, m.context_cfg)
     return RecallResult(out)
 
 

@@ -19,6 +19,7 @@ from spikeseq.codes import (
     random_code,
     support_matvec,
     to_significance,
+    vector_norm,
 )
 from spikeseq.errors import DegenerateInputError, ParameterError
 
@@ -40,6 +41,18 @@ def test_rank_order_code_validation():
         RankOrderCode(p, (1,))
     with pytest.raises(ParameterError):
         RankOrderCode(p, (1, 4))
+    with pytest.raises(ParameterError):
+        RankOrderCode(p, (-1, 2))
+
+
+def test_rank_order_code_support_is_ascending_firing_order():
+    p = CodeParams(8, 3, 0.5)
+    code = RankOrderCode(p, np.array([5, 0, 3]))
+    assert code.firing_order == (5, 0, 3)
+    assert all(type(i) is int for i in code.firing_order)
+    assert code.support.dtype == np.intp
+    assert code.support.tolist() == [0, 3, 5]
+    assert np.array_equal(code.support, np.flatnonzero(to_significance(code)))
 
 
 def test_to_significance_small():
@@ -236,7 +249,7 @@ def test_support_matvec_matches_dense_product(shape, fortran, data):
         matrix = np.asfortranarray(matrix)
     # mostly zeros, like an N-of-M code
     v = data.draw(arrays(np.float64, shape[1], elements=st.one_of(st.just(0.0), _entries)))
-    got = support_matvec(matrix, v)
+    got = support_matvec(matrix, v, np.flatnonzero(v))
     # the two sums differ only in order: bound the error by the absolute sum,
     # plus the smallest normal float for products that underflow
     bound = 1e-12 * (np.abs(matrix) @ np.abs(v)) + np.finfo(np.float64).tiny
@@ -245,6 +258,67 @@ def test_support_matvec_matches_dense_product(shape, fortran, data):
 
 def test_support_matvec_zero_vector_and_shape_check():
     matrix = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(support_matvec(matrix, np.zeros(3)), np.zeros(2))
+    empty = np.zeros(0, dtype=np.intp)
+    assert np.array_equal(support_matvec(matrix, np.zeros(3), empty), np.zeros(2))
     with pytest.raises(ParameterError):
-        support_matvec(matrix, np.ones(2))
+        support_matvec(matrix, np.ones(2), np.arange(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=arrays(np.float64, st.integers(1, 300), elements=st.one_of(st.just(0.0), _entries)))
+def test_vector_norm_equals_linalg_norm_bit_for_bit(v):
+    assert vector_norm(v) == np.linalg.norm(v)
+
+
+def test_vector_norm_of_canonical_codes_equals_linalg_norm():
+    p = CodeParams(256, 11, 0.9)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        v = to_significance(random_code(p, rng))
+        assert vector_norm(v) == np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nofm_rejects_non_finite_input(bad):
+    p = CodeParams(8, 3, 0.5)
+    v = np.arange(8.0)
+    v[3] = bad  # a NaN used to be skipped silently: (7, 6, 5)
+    with pytest.raises(ParameterError, match="non-finite"):
+        nofm(v, 3, p)
+
+
+def _lexsort_order(v, n):
+    return tuple(int(i) for i in np.lexsort((np.arange(v.size), -v))[:n])
+
+
+# few distinct values, so that exact ties (and signed zeros) are common
+_tied = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]), _entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=arrays(np.float64, st.integers(1, 64), elements=_tied), data=st.data())
+def test_nofm_orders_by_value_then_lower_index(v, data):
+    n = data.draw(st.integers(1, v.size))
+    order = nofm(v, n, CodeParams(v.size, n, 0.9)).firing_order
+    assert order == _lexsort_order(v, n)
+    for a, b in zip(order, order[1:]):
+        assert v[a] > v[b] or (v[a] == v[b] and a < b)
+    assert all(v[i] <= v[order[-1]] for i in set(range(v.size)) - set(order))
+
+
+# magnitudes that a scale of 2**-30 keeps normal
+_scalable = _tied.filter(lambda x: x == 0.0 or abs(x) > 1e-200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v=arrays(np.float64, st.integers(1, 64), elements=_scalable),
+    exponent=st.integers(-30, 30),
+    data=st.data(),
+)
+def test_nofm_invariant_to_positive_scale(v, exponent, data):
+    # a power-of-two scale is exact in float64 for these magnitudes, so the
+    # scaled vector has the same order and the same ties
+    n = data.draw(st.integers(1, v.size))
+    p = CodeParams(v.size, n, 0.9)
+    assert nofm(2.0**exponent * v, n, p).firing_order == nofm(v, n, p).firing_order

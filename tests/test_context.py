@@ -12,12 +12,41 @@ def _identity_cfg(lam, m=4, n=2, alpha=0.5):
     return ContextConfig(lambda_gate=lam, p1=eye, p2=eye, code_params=p)
 
 
+def _state(vector):
+    vector = np.array(vector)
+    return ContextState(vector, np.flatnonzero(vector))
+
+
+def _update(prev, input_vec, cfg):
+    """update_context given the input's support."""
+    return update_context(prev, input_vec, np.flatnonzero(input_vec), cfg)
+
+
 def test_hand_case_tie_and_canonical_reassignment():
     cfg = _identity_cfg(0.5)
-    prev = ContextState(np.array([1.0, 0.5, 0.0, 0.0]))
-    new = update_context(prev, np.array([0.0, 0.0, 1.0, 0.5]), cfg)
+    prev = _state([1.0, 0.5, 0.0, 0.0])
+    new = _update(prev, np.array([0.0, 0.0, 1.0, 0.5]), cfg)
     # blend = [0.4472, 0.2236, 0.4472, 0.2236]; tie {0, 2} -> order (0, 2)
     assert np.array_equal(new.vector, [1.0, 0.0, 0.5, 0.0])
+    assert new.support.tolist() == [0, 2]
+
+
+def test_start_state_is_empty_and_updates_carry_their_support():
+    m, n = 64, 6
+    p = CodeParams(m, n, 0.9)
+    rng = np.random.default_rng(4)
+    cfg = ContextConfig.random(0.6, p, rng)
+    state = ContextState.start(m)
+    assert not state.vector.any() and state.support.size == 0
+    for _ in range(20):
+        code = random_code(p, rng)
+        state = update_context(state, to_significance(code), code.support, cfg)
+        assert state.support.dtype == np.intp
+        assert np.array_equal(state.support, np.flatnonzero(state.vector))
+    code = random_code(p, rng)
+    from_code = ContextState.from_code(code)
+    assert np.array_equal(from_code.vector, to_significance(code))
+    assert np.array_equal(from_code.support, np.flatnonzero(from_code.vector))
 
 
 def test_gate_boundary_lambda_zero_ignores_history():
@@ -27,7 +56,7 @@ def test_gate_boundary_lambda_zero_ignores_history():
     cfg = ContextConfig(0.0, random_projection(m, m, rng), random_projection(m, m, rng), p)
     x = to_significance(random_code(p, rng))
     states = [
-        update_context(ContextState(to_significance(random_code(p, rng))), x, cfg)
+        _update(ContextState.from_code(random_code(p, rng)), x, cfg)
         for _ in range(100)
     ]
     ref = states[0].vector
@@ -39,10 +68,8 @@ def test_gate_boundary_lambda_one_ignores_input():
     p = CodeParams(m, n, 0.8)
     rng = np.random.default_rng(1)
     cfg = ContextConfig(1.0, random_projection(m, m, rng), random_projection(m, m, rng), p)
-    prev = ContextState(to_significance(random_code(p, rng)))
-    outs = [
-        update_context(prev, to_significance(random_code(p, rng)), cfg) for _ in range(100)
-    ]
+    prev = ContextState.from_code(random_code(p, rng))
+    outs = [_update(prev, to_significance(random_code(p, rng)), cfg) for _ in range(100)]
     ref = outs[0].vector
     assert all(np.array_equal(o.vector, ref) for o in outs)
 
@@ -52,9 +79,9 @@ def test_output_always_canonical():
     p = CodeParams(m, n, 0.9)
     rng = np.random.default_rng(2)
     cfg = ContextConfig.random(0.6, p, rng)
-    state = ContextState(to_significance(random_code(p, rng)))
+    state = ContextState.from_code(random_code(p, rng))
     for _ in range(50):
-        state = update_context(state, to_significance(random_code(p, rng)), cfg)
+        state = _update(state, to_significance(random_code(p, rng)), cfg)
         assert is_canonical(state.vector, p)
 
 
@@ -69,11 +96,11 @@ def test_histories_diverge_with_positive_gate():
     trials = 100
     for _ in range(trials):
         shared = [to_significance(random_code(p, rng)) for _ in range(3)]
-        a = ContextState(to_significance(random_code(p, rng)))
-        b = ContextState(to_significance(random_code(p, rng)))
+        a = ContextState.from_code(random_code(p, rng))
+        b = ContextState.from_code(random_code(p, rng))
         for x in shared:
-            a = update_context(a, x, cfg)
-            b = update_context(b, x, cfg)
+            a = _update(a, x, cfg)
+            b = _update(b, x, cfg)
         if not np.array_equal(a.vector, b.vector):
             diverged += 1
     assert diverged >= 0.99 * trials
@@ -83,9 +110,9 @@ def test_degenerate_blend_raises():
     m = 4
     p = CodeParams(m, 2, 0.5)
     cfg = ContextConfig(1.0, np.zeros((m, m)), np.eye(m), p)
-    prev = ContextState(np.array([1.0, 0.5, 0.0, 0.0]))
+    prev = _state([1.0, 0.5, 0.0, 0.0])
     with pytest.raises(DegenerateInputError):
-        update_context(prev, np.array([0.0, 0.0, 1.0, 0.5]), cfg)
+        _update(prev, np.array([0.0, 0.0, 1.0, 0.5]), cfg)
 
 
 def test_config_validation():
@@ -96,4 +123,10 @@ def test_config_validation():
         ContextConfig(0.5, np.eye(3), np.eye(4), p)
     cfg = _identity_cfg(0.5)
     with pytest.raises(ParameterError):
-        update_context(ContextState(np.zeros(4)), np.zeros(3), cfg)
+        _update(ContextState.start(4), np.zeros(3), cfg)
+
+
+def test_non_finite_input_rejected():
+    cfg = _identity_cfg(0.5)
+    with pytest.raises(ParameterError, match="non-finite"):
+        _update(_state([1.0, 0.5, 0.0, 0.0]), np.array([0.0, np.nan, 1.0, 0.5]), cfg)

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spikeseq.codes import CodeParams, cosine_sim, random_code, to_significance
+from spikeseq.context import ContextState
 from spikeseq.errors import NoActiveLocationError, ParameterError
 from spikeseq.sdm import (
     ActivationPattern,
     AddressDecoder,
     CorrelationMatrix,
+    _random_firing,
     calibrate_threshold,
     cmm_read,
     cmm_write,
@@ -26,11 +28,16 @@ def _decoder(seed=0, w=8, m=16, n=4, theta=0.5, binary=False):
     return AddressDecoder.random(w, CodeParams(m, n, 0.9), theta, seed, binary=binary)
 
 
+def _decode(ctx, dec):
+    """decode_address of a context vector, given its support."""
+    return decode_address(ContextState(ctx, np.flatnonzero(ctx)), dec)
+
+
 def test_decode_matches_bruteforce_scan():
     dec = _decoder()
     rng = np.random.default_rng(42)
     ctx = to_significance(random_code(dec.code_params, rng))
-    act = decode_address(ctx, dec)
+    act = _decode(ctx, dec)
     for k in range(dec.n_locations):
         sim = cosine_sim(ctx, dec.addresses[k])
         if sim >= dec.threshold:
@@ -43,17 +50,17 @@ def test_zero_threshold_activates_everything():
     dec = _decoder(theta=0.0)
     rng = np.random.default_rng(1)
     ctx = to_significance(random_code(dec.code_params, rng))
-    act = decode_address(ctx, dec)
+    act = _decode(ctx, dec)
     raw = np.array([cosine_sim(ctx, dec.addresses[k]) for k in range(dec.n_locations)])
     assert np.allclose(act.weights, raw, atol=1e-12)
     dec_b = _decoder(theta=0.0, binary=True)
-    assert decode_address(ctx, dec_b).n_active == dec_b.n_locations
+    assert _decode(ctx, dec_b).n_active == dec_b.n_locations
 
 
 def test_unit_threshold_hits_only_identical_address():
     dec = _decoder(seed=3, theta=1.0)
     ctx = dec.addresses[5].copy()
-    act = decode_address(ctx, dec)
+    act = _decode(ctx, dec)
     assert act.weights[5] == pytest.approx(1.0, abs=1e-12)
     assert act.n_active == 1
 
@@ -62,7 +69,7 @@ def test_binary_mode():
     dec = _decoder(theta=0.3, binary=True)
     rng = np.random.default_rng(2)
     ctx = to_significance(random_code(dec.code_params, rng))
-    w = decode_address(ctx, dec).weights
+    w = _decode(ctx, dec).weights
     assert set(np.unique(w)) <= {0.0, 1.0}
 
 
@@ -104,7 +111,7 @@ def test_single_pattern_exact_recall():
     p = CodeParams(64, 6, 0.9)
     dec = AddressDecoder.random(32, p, 0.2, seed=11)
     ctx = to_significance(random_code(p, rng))
-    act = decode_address(ctx, dec)
+    act = _decode(ctx, dec)
     data_code = random_code(p, rng)
     cmm = CorrelationMatrix.zeros(64, 32)
     cmm_write(cmm, act, to_significance(data_code))
@@ -136,7 +143,7 @@ def test_calibrated_threshold_hits_target_active_count():
     dec = AddressDecoder(dec0.addresses, theta, p, seed=21)
     rng = np.random.default_rng(23)
     counts = [
-        decode_address(to_significance(random_code(p, rng)), dec).n_active
+        _decode(to_significance(random_code(p, rng)), dec).n_active
         for _ in range(100)
     ]
     assert 8 <= float(np.mean(counts)) <= 24
@@ -153,7 +160,7 @@ def _recall_rate(n_patterns, seed, theta_target=16, metric="order"):
     for _ in range(n_patterns):
         ctx = to_significance(random_code(p, rng))
         data = random_code(p, rng)
-        act = decode_address(ctx, dec)
+        act = _decode(ctx, dec)
         if act.n_active == 0:
             continue
         cmm_write(cmm, act, to_significance(data))
@@ -234,7 +241,7 @@ def test_active_set_matches_dense_reference_at_calibrated_threshold(n_locations)
         for _ in range(200):
             ctx = to_significance(random_code(dec.code_params, rng))
             ref = (rows @ ctx) / (norms * np.linalg.norm(ctx))
-            weights = decode_address(ctx, dec).weights
+            weights = _decode(ctx, dec).weights
             active = ref >= dec.threshold
             assert np.array_equal(weights > 0.0, active)
             np.testing.assert_allclose(weights[active], ref[active], rtol=1e-12, atol=0.0)
@@ -255,7 +262,7 @@ def test_decode_rejects_non_finite_context(bad):
     ctx = to_significance(random_code(dec.code_params, np.random.default_rng(0)))
     ctx[0] = bad
     with pytest.raises(ParameterError, match="non-finite"):
-        decode_address(ctx, dec)
+        _decode(ctx, dec)
 
 
 def test_snapshot_rejects_truncated_and_overlong_files(tmp_path):
@@ -316,3 +323,27 @@ def test_write_idempotent_and_order_independent(shape, data):
     cmm = CorrelationMatrix(start.copy(order="A"))
     cmm_write(cmm, *writes[-1])
     assert np.array_equal(cmm.w, start)
+
+
+@pytest.mark.parametrize("n_locations", [512, 4096])
+def test_firing_draws_equal_a_loop_of_permutations(n_locations):
+    p = CodeParams(256, 11, 0.9)
+    for seed in range(4):
+        loop_rng = np.random.default_rng(seed)
+        loop = [loop_rng.permutation(p.m_total)[: p.n_active] for _ in range(n_locations)]
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(_random_firing(n_locations, p, rng), np.array(loop))
+        assert rng.random() == loop_rng.random()  # the generators end in one state
+
+
+def test_activation_pattern_carries_its_active_locations():
+    weights = np.array([0.0, 0.6, 0.0, 0.9, 0.0, 1.0, -0.0, 0.2])
+    act = ActivationPattern(weights)
+    assert act.active.tolist() == [1, 3, 5, 7]
+    assert act.n_active == 4
+    assert act.total == float(weights.sum())
+    dec = _decoder(theta=0.2)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        act = _decode(to_significance(random_code(dec.code_params, rng)), dec)
+        assert np.array_equal(act.active, np.flatnonzero(act.weights))

@@ -172,3 +172,50 @@ def test_codebook_larger_than_code_space_rejected():
     assert Codebook.random(4, p, np.random.default_rng(0)).alphabet_size == 4
     with pytest.raises(ParameterError):
         Codebook.random(5, p, np.random.default_rng(0))
+
+
+def test_empty_alphabet_rejected():
+    with pytest.raises(ParameterError):
+        Codebook.random(0, CodeParams(256, 11, 0.9), np.random.default_rng(0))
+
+
+def test_machine_with_empty_alphabet_rejected():
+    with pytest.raises(ParameterError):
+        SequenceMachine(alphabet_size=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_non_finite_burst_rejected(bad):
+    m = SequenceMachine(seed=0)
+    with pytest.raises(ParameterError, match="non-finite"):
+        decode_burst(m.codebook, np.full(256, np.nan))  # used to return a winner
+    burst = encode_symbol(m.codebook, 3)
+    burst[0] = bad
+    with pytest.raises(ParameterError, match="non-finite"):
+        decode_burst(m.codebook, burst)
+
+
+def test_codebook_caches_ascending_supports():
+    cb = Codebook.random(26, CodeParams(256, 11, 0.9), np.random.default_rng(12))
+    assert len(cb.supports) == 26
+    for row, support in zip(cb.encode_matrix, cb.supports):
+        assert np.array_equal(support, np.flatnonzero(row))
+
+
+def test_recall_leaves_the_machine_unchanged_and_interleaves():
+    # the context state is a value local to each call: a machine holds its
+    # configuration and memory only, so interleaved recalls do not interact
+    m = SequenceMachine(seed=8)
+    seqs = sample_sequences(np.random.default_rng(3), 6, 8, 26)
+    for s in seqs:
+        learn_sequence(m, s)
+    attrs = set(vars(m))
+    memory = m.memory.w.copy()
+    alone = [recall_sequence(m, s[:2], 6) for s in seqs]
+    interleaved = []
+    for s in seqs:
+        recall_sequence(m, seqs[0][:3], 5)
+        interleaved.append(recall_sequence(m, s[:2], 6))
+    assert interleaved == alone
+    assert set(vars(m)) == attrs and "state" not in attrs
+    assert np.array_equal(m.memory.w, memory)
