@@ -77,18 +77,13 @@ class ContextConfig:
 
     @classmethod
     def random(
-        cls,
-        lambda_gate: float,
-        code_params: CodeParams,
-        rng: np.random.Generator,
-        input_dim: int | None = None,
+        cls, lambda_gate: float, code_params: CodeParams, rng: np.random.Generator
     ) -> "ContextConfig":
         m_c = code_params.m_total
-        m_i = m_c if input_dim is None else input_dim
         return cls(
             lambda_gate=lambda_gate,
             p1=random_projection(m_c, m_c, rng),
-            p2=random_projection(m_c, m_i, rng),
+            p2=random_projection(m_c, m_c, rng),
             code_params=code_params,
         )
 

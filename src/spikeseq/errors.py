@@ -20,10 +20,3 @@ class NoActiveLocationError(SpikeSeqError):
 class AlphabetError(SpikeSeqError):
     """A symbol index lies outside the codebook alphabet."""
 
-
-class ShapeError(SpikeSeqError):
-    """Tensor shapes are inconsistent for the requested operation."""
-
-
-class DivergenceError(SpikeSeqError):
-    """A training run produced a non-finite loss."""

@@ -19,11 +19,12 @@ write is a scatter-max over data support x active locations; its products
 are the single multiplies of the dense outer product, so the matrix is
 bit-identical to a dense write.
 
-Threshold invariant: the calibrated threshold is itself one of the
-discrete cosine levels that addressing computes, so ``sims >= threshold``
-decides exact float ties. Addressing and calibration therefore compute
-cosines with the same kernel and the same row norms, and the row norms are
-those of the row-major matrix bit for bit.
+Threshold invariant: the calibrated threshold is one of the discrete
+cosine levels that addressing computes (or the midpoint of two, when the
+median of an even probe count falls between them), so ``sims >= threshold``
+decides exact float ties. Addressing and calibration therefore share one
+similarity function, ``_address_similarity``: one kernel, one set of float
+guards and the decoder's cached row norms, row-major bit for bit.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ SNAPSHOT_MAGIC = b"SDMW"
 SNAPSHOT_HEADER = struct.Struct("<4sIIIqd")  # magic, version, data_dim, W, seed, theta
 SNAPSHOT_VERSION = 1
 _NORM_BLOCK = 512  # rows per row-major block in _row_norms
+_N_PROBES = 200  # seeded probe contexts per threshold calibration
 
 
 def _row_norms(rows: FloatVector) -> FloatVector:
@@ -168,8 +170,8 @@ class ActivationPattern:
         return float(self.weights.sum())
 
 
-def decode_address(context: ContextState, dec: AddressDecoder) -> ActivationPattern:
-    """Similarity of the context to every address, gated by the threshold.
+def _address_similarity(context: ContextState, dec: AddressDecoder) -> FloatVector:
+    """Cosine of the context with every address: (W,) values in [0, 1].
 
     Raises ParameterError on an all-zero or non-finite context.
     """
@@ -185,6 +187,15 @@ def decode_address(context: ContextState, dec: AddressDecoder) -> ActivationPatt
     # second line also clips the top of the range)
     np.maximum(sims, 0.0, out=sims)
     sims[sims >= 1.0 - 1e-12] = 1.0
+    return sims
+
+
+def decode_address(context: ContextState, dec: AddressDecoder) -> ActivationPattern:
+    """Similarity of the context to every address, gated by the threshold.
+
+    Raises ParameterError on an all-zero or non-finite context.
+    """
+    sims = _address_similarity(context, dec)
     if dec.binary:
         weights = (sims >= dec.threshold).astype(np.float64)
     else:
@@ -248,29 +259,21 @@ def cmm_read(
     return nofm(readout, params.n_active, params), confidence
 
 
-def calibrate_threshold(
-    addresses: FloatVector,
-    code_params: CodeParams,
-    target_active: int,
-    seed: int,
-    n_probes: int = 200,
-) -> float:
+def calibrate_threshold(dec: AddressDecoder, target_active: int, seed: int) -> float:
     """Pick a threshold so random contexts activate ~target_active locations.
 
     Uses the median over seeded probe contexts of the target_active-th
-    largest address similarity, computed as ``decode_address`` computes it
-    (same kernel, layout and row norms), so the threshold is a cosine level
-    that addressing reproduces exactly.
+    largest address similarity, computed by the function addressing uses,
+    so the levels it ranks are those addressing reproduces exactly. The
+    decoder's own threshold is not read.
     """
-    if target_active < 1 or target_active > addresses.shape[0]:
+    if not 1 <= target_active <= dec.n_locations:
         raise ParameterError(f"target_active out of range: {target_active}")
-    addresses = np.asfortranarray(addresses, dtype=np.float64)
-    norms = _row_norms(addresses)
-    firing = _random_firing(n_probes, code_params, np.random.default_rng(seed))
-    probes = _significance_rows(firing, code_params)
-    kth = np.empty(n_probes)
+    firing = _random_firing(_N_PROBES, dec.code_params, np.random.default_rng(seed))
+    probes = _significance_rows(firing, dec.code_params)
+    kth = np.empty(_N_PROBES)
     for i, (c, support) in enumerate(zip(probes, np.sort(firing, axis=1))):
-        sims = support_matvec(addresses, c, support) / (norms * vector_norm(c))
+        sims = _address_similarity(ContextState(c, support), dec)
         kth[i] = np.partition(sims, -target_active)[-target_active]
     return float(np.median(kth))
 

@@ -151,9 +151,10 @@ class RecallResult:
 class SequenceMachine:
     """One-shot sequence store built from the module primitives.
 
-    All randomness (codebook, projections, addresses, start context) is
-    derived from a single seed, so identical seeds and inputs give
-    bit-identical behaviour.
+    All randomness (codebook, projections, addresses and the probe contexts
+    of threshold calibration) is derived from a single seed, so identical
+    seeds and inputs give bit-identical behaviour. Runs start from the
+    empty history, so a full gate (``lambda_gate`` 1) is rejected.
     """
 
     def __init__(
@@ -171,23 +172,27 @@ class SequenceMachine:
     ):
         if feedback not in ("clean", "readout"):
             raise ParameterError(f"feedback must be 'clean' or 'readout', got {feedback!r}")
+        if lambda_gate == 1.0:
+            raise ParameterError(
+                "lambda_gate=1 ignores every input, so the first update from the "
+                "empty start history has no drive"
+            )
         self.params = CodeParams(m_total, n_active, alpha)
         self.seed = seed
         self.min_confidence = min_confidence
         self.feedback = feedback
 
-        ss = np.random.SeedSequence(seed).spawn(4)
+        ss = np.random.SeedSequence(seed).spawn(3)
         self.codebook = Codebook.random(
             alphabet_size, self.params, np.random.default_rng(ss[0])
         )
         self.context_cfg = ContextConfig.random(
             lambda_gate, self.params, np.random.default_rng(ss[1])
         )
-        base = AddressDecoder.random(n_locations, self.params, 0.0, seed=seed)
-        theta = calibrate_threshold(
-            base.addresses, self.params, target_active, seed=int(ss[2].generate_state(1)[0])
+        self.decoder = AddressDecoder.random(n_locations, self.params, 0.0, seed=seed)
+        self.decoder.threshold = calibrate_threshold(
+            self.decoder, target_active, seed=int(ss[2].generate_state(1)[0])
         )
-        self.decoder = AddressDecoder(base.addresses, theta, self.params, seed=seed)
         self.memory = CorrelationMatrix.zeros(m_total, n_locations)
 
 

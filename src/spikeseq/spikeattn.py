@@ -66,7 +66,7 @@ def _safe_unit_rows(m: FloatVector) -> FloatVector:
 class WTAResult:
     output: FloatVector  # (n_q, d_v)
     winners: list[np.ndarray]  # selected key indices per query, best first
-    degenerate: np.ndarray  # (n_q,) bool: no key passed / weights unusable
+    degenerate: np.ndarray  # (n_q,) bool: no key passed (no winners) / weights unusable
 
 
 def wta_attention(
@@ -78,7 +78,7 @@ def wta_attention(
     similar (ties to the lower index) contribute their values weighted by
     similarity, renormalized to sum one. Queries where nothing passes, or
     where the kept similarities sum to a non-positive value, yield a zero
-    row flagged in ``degenerate``.
+    row flagged in ``degenerate``; the latter still report their winners.
     """
     if not 1 <= n_winners <= inp.keys.shape[0]:
         raise ParameterError(f"n_winners must lie in [1, {inp.keys.shape[0]}]")
@@ -95,13 +95,12 @@ def wta_attention(
             winners.append(np.empty(0, dtype=np.intp))
             continue
         ranked = candidates[np.lexsort((candidates, -row[candidates]))][:n_winners]
+        winners.append(ranked)
         total = row[ranked].sum()
         if total <= 0.0:
             degenerate[q] = True
-            winners.append(np.empty(0, dtype=np.intp))
             continue
         out[q] = (row[ranked] / total) @ inp.values[ranked]
-        winners.append(ranked)
     return WTAResult(out, winners, degenerate)
 
 

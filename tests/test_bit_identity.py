@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from spikeseq.errors import DegenerateInputError
+from spikeseq.errors import DegenerateInputError, ParameterError
 from spikeseq.seqmachine import SequenceMachine, learn_sequence, recall_sequence, sample_sequences
 
 # ---------------------------------------------------------------- reference
@@ -191,11 +191,12 @@ def test_memoryless_gate_matches_reference():
     assert None in halts
 
 
-def test_full_gate_raises_like_reference():
+def test_full_gate_is_rejected_at_construction():
     # with lambda_gate 1 the first update from the empty history has no drive
-    # at all, so every learn and recall raises, in the reference as well
-    outcomes = _compare({"lambda_gate": 1.0}, n_seqs=4, length=6, all_prefixes=True, seed=3)
-    assert set(outcomes) == {DegenerateInputError}
+    # at all, so every learn of two symbols and every recall would raise (the
+    # reference raises DegenerateInputError there)
+    with pytest.raises(ParameterError, match="empty start history"):
+        SequenceMachine(lambda_gate=1.0)
 
 
 def test_readout_feedback_matches_reference():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikeseq.errors import ParameterError
 from spikeseq.posenc import (
@@ -19,6 +21,8 @@ from spikeseq.posenc import (
 )
 
 P128 = PosEncParams(seq_len=128, dim=128, window=1.0)
+_seq_lens = st.integers(2, 256)
+_dims = st.integers(1, 64).map(lambda h: 2 * h)
 
 
 def test_params_validation():
@@ -108,6 +112,31 @@ def test_isomorphism_parameter_sweep():
         # entries can swap within rounding noise (measured ~0.99999 here;
         # a genuinely different ordering scores ~0.84)
         assert rep.spearman_rho >= 0.999
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=_seq_lens, d=_dims, k=st.integers(-8, 3))
+def test_gram_identity_exact_for_power_of_two_scale(L, d, k):
+    # T/L = 2**k scales every entry and product without rounding
+    p = PosEncParams(L, d, window=L * 2.0**k)
+    g_pe = gram_matrix(sinusoidal_pe(p))
+    g_st = gram_matrix(spike_timing_pe(p))
+    assert np.array_equal(g_st, 4.0**k * g_pe)
+    assert np.array_equal(
+        np.argsort(-g_st, axis=1, kind="stable"), np.argsort(-g_pe, axis=1, kind="stable")
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=_seq_lens, d=_dims, T=st.floats(0.01, 100.0))
+def test_gram_identity_within_rounding_for_any_scale(L, d, T):
+    # relative to the largest entry, the self-dot d/2: an entry near zero
+    # (cancelling bands) has no useful relative error of its own
+    p = PosEncParams(L, d, window=T)
+    scale = (T / L) ** 2
+    g_pe = gram_matrix(sinusoidal_pe(p))
+    g_st = gram_matrix(spike_timing_pe(p))
+    assert np.max(np.abs(g_st - scale * g_pe)) <= 1e-12 * scale * (d / 2)
 
 
 def test_lemma1_rank_invariance_exact():

@@ -10,9 +10,11 @@ from spikeseq.codes import CodeParams, cosine_sim, random_code, to_significance
 from spikeseq.context import ContextState
 from spikeseq.errors import NoActiveLocationError, ParameterError
 from spikeseq.sdm import (
+    _N_PROBES,
     ActivationPattern,
     AddressDecoder,
     CorrelationMatrix,
+    _address_similarity,
     _random_firing,
     calibrate_threshold,
     cmm_read,
@@ -139,7 +141,7 @@ def test_all_zero_activation_rejected():
 def test_calibrated_threshold_hits_target_active_count():
     p = CodeParams(256, 11, 0.9)
     dec0 = AddressDecoder.random(512, p, 0.0, seed=21)
-    theta = calibrate_threshold(dec0.addresses, p, target_active=16, seed=22)
+    theta = calibrate_threshold(dec0, target_active=16, seed=22)
     dec = AddressDecoder(dec0.addresses, theta, p, seed=21)
     rng = np.random.default_rng(23)
     counts = [
@@ -149,10 +151,28 @@ def test_calibrated_threshold_hits_target_active_count():
     assert 8 <= float(np.mean(counts)) <= 24
 
 
+def test_calibration_and_addressing_agree_on_the_probes():
+    # on each of calibration's own probe contexts the locations whose
+    # similarity reaches the calibrated threshold are exactly the active ones,
+    # and the threshold is the median of the probes' target-th similarity, so
+    # at least half the probes activate target_active locations or more
+    p = CodeParams(256, 11, 0.9)
+    dec = AddressDecoder.random(512, p, 0.0, seed=21)
+    dec.threshold = calibrate_threshold(dec, target_active=16, seed=22)
+    counts = []
+    for order in _random_firing(_N_PROBES, p, np.random.default_rng(22)):
+        ctx = np.zeros(p.m_total)
+        ctx[order] = p.significances
+        sims = _address_similarity(ContextState(ctx, np.sort(order)), dec)
+        counts.append(_decode(ctx, dec).n_active)
+        assert int(np.count_nonzero(sims >= dec.threshold)) == counts[-1]
+    assert sum(c >= 16 for c in counts) >= _N_PROBES / 2
+
+
 def _recall_rate(n_patterns, seed, theta_target=16, metric="order"):
     p = CodeParams(256, 11, 0.9)
     dec0 = AddressDecoder.random(512, p, 0.0, seed=seed)
-    theta = calibrate_threshold(dec0.addresses, p, theta_target, seed=seed + 1)
+    theta = calibrate_threshold(dec0, theta_target, seed=seed + 1)
     dec = AddressDecoder(dec0.addresses, theta, p, seed=seed)
     rng = np.random.default_rng(seed + 2)
     cmm = CorrelationMatrix.zeros(256, 512)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikeseq.errors import ParameterError
 from spikeseq.spikeattn import (
@@ -132,6 +134,16 @@ def test_wta_nothing_passes_flags_zero_row():
     assert np.all(res.output == 0.0)
 
 
+def test_wta_unusable_weights_keep_their_winners():
+    # the key passes, but a non-positive similarity sum cannot weight it
+    q = np.array([[1.0, 0.0]])
+    k = np.array([[-1.0, 0.0]])
+    res = wta_attention(AttentionInputs(q, k, np.array([[5.0]])), n_winners=1, threshold=-1.0)
+    assert res.degenerate[0]
+    assert np.all(res.output == 0.0)
+    assert res.winners[0].tolist() == [0]
+
+
 def test_wta_parameter_validation():
     rng = np.random.default_rng(7)
     inp = _random_inputs(rng)
@@ -152,3 +164,19 @@ def test_unnormalized_agreement_is_partial():
     rows = compare_attention(n_trials=300, seed=0, unit_norm=False)
     rate = np.mean([agree for *_, agree in rows])
     assert rate < 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.integers(1, 128),
+    n_k=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    n_trials=st.integers(1, 20),
+)
+@example(d=1, n_k=1, seed=0, n_trials=1)  # the only key points away from the query
+def test_softmax_and_wta_pick_the_same_key_on_unit_norm_keys(d, n_k, seed, n_trials):
+    # the query norm scales every logit alike, so on unit-norm keys the
+    # highest logit is the highest cosine, also when every cosine is negative
+    rows = compare_attention(n_trials=n_trials, d=d, n_k=n_k, seed=seed, unit_norm=True)
+    assert len(rows) == n_trials
+    assert all(soft == hard and agree for _, soft, hard, agree in rows)
