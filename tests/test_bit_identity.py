@@ -9,6 +9,7 @@ everything it returns must be bit-identical: the memory bytes, symbols,
 margins, confidences and halt reasons.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,12 +192,19 @@ def test_memoryless_gate_matches_reference():
     assert None in halts
 
 
-def test_full_gate_is_rejected_at_construction():
+def test_full_gate_raises_like_reference():
     # with lambda_gate 1 the first update from the empty history has no drive
-    # at all, so every learn of two symbols and every recall would raise (the
-    # reference raises DegenerateInputError there)
+    # at all: the reference raises DegenerateInputError at every learn of two
+    # symbols and every recall, and the machine refuses the gate when built
     with pytest.raises(ParameterError, match="empty start history"):
         SequenceMachine(lambda_gate=1.0)
+    m = SequenceMachine(seed=3)
+    m.context_cfg = dataclasses.replace(m.context_cfg, lambda_gate=1.0)
+    ref = _Reference(m)
+    seqs = sample_sequences(np.random.default_rng(4), 4, 6, 26)
+    outcomes = [_outcome(ref.learn, s) for s in seqs]
+    outcomes += [_outcome(ref.recall, s[:k], 6 - k) for s in seqs for k in range(1, 6)]
+    assert set(outcomes) == {DegenerateInputError}
 
 
 def test_readout_feedback_matches_reference():

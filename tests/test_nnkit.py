@@ -1,239 +1,18 @@
-import math
+"""The row-softmax check of the former autograd toolkit, on the softmax that remains.
+
+The toolkit's other tests went with it; this one checks a property of the
+row softmax itself, which ``softmax_attention`` still computes. With the
+keys an identity and the values an identity, its output is the weight
+matrix of the given logits.
+"""
 
 import numpy as np
-import pytest
 
-from spikeseq.errors import DivergenceError, ParameterError, ShapeError
-from spikeseq.nnkit import (
-    Adam,
-    Tensor,
-    add,
-    cross_entropy_bits,
-    embedding_lookup,
-    gelu,
-    grad_check,
-    layer_norm,
-    matmul,
-    mul,
-    relu,
-    reshape,
-    softmax_rows,
-    transpose,
-)
-
-
-def _scalarize(t, w):
-    """Reduce a tensor to a scalar through fixed weights (matmul route)."""
-    n = int(np.prod(t.shape))
-    return matmul(reshape(t, (1, n)), Tensor(np.asarray(w).reshape(n, 1)))
-
-
-def test_cross_entropy_perfect_and_uniform():
-    targets = np.array([[3, 1]])
-    mask = np.ones((1, 2), dtype=bool)
-    perfect = np.full((1, 2, 50), -60.0)
-    perfect[0, 0, 3] = 60.0
-    perfect[0, 1, 1] = 60.0
-    assert float(cross_entropy_bits(Tensor(perfect), targets, mask).data) < 1e-9
-
-    uniform = np.zeros((1, 2, 50))
-    loss = float(cross_entropy_bits(Tensor(uniform), targets, mask).data)
-    assert loss == pytest.approx(math.log2(50), abs=1e-12)
-
-
-def test_cross_entropy_hand_case():
-    logits = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 3.0]])
-    targets = np.array([1, 2])
-    mask = np.array([True, True])
-    got = float(cross_entropy_bits(Tensor(logits), targets, mask).data)
-    expect = 0.0
-    for row, t in zip(logits, targets):
-        exps = [math.exp(v) for v in row]
-        p = exps[t] / sum(exps)
-        expect += -math.log2(p)
-    expect /= 2
-    assert got == pytest.approx(expect, abs=1e-12)
-
-
-def test_cross_entropy_respects_mask():
-    logits = np.zeros((2, 3, 4))
-    logits[0, 0, 1] = 50.0
-    targets = np.ones((2, 3), dtype=int)
-    mask = np.zeros((2, 3), dtype=bool)
-    mask[0, 0] = True
-    assert float(cross_entropy_bits(Tensor(logits), targets, mask).data) < 1e-9
-    with pytest.raises(ShapeError):
-        cross_entropy_bits(Tensor(logits), targets, np.zeros((2, 3), dtype=bool))
-
-
-def test_shape_errors_name_operation():
-    with pytest.raises(ShapeError, match="matmul"):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-    with pytest.raises(ShapeError, match="add"):
-        add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
-    with pytest.raises(ShapeError, match="layer_norm"):
-        layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.zeros(3)), Tensor(np.zeros(4)))
-    with pytest.raises(ShapeError, match="embedding"):
-        embedding_lookup(Tensor(np.zeros((4, 2))), np.array([4]))
+from spikeseq.spikeattn import AttentionInputs, softmax_attention
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    x = softmax_rows(Tensor(rng.normal(size=(5, 7)) * 10))
-    assert np.max(np.abs(x.data.sum(axis=-1) - 1.0)) < 1e-12
-
-
-def test_softmax_jacobian_rows_sum_to_zero():
-    # gradient of sum(softmax(x)) is identically zero (shift invariance)
-    rng = np.random.default_rng(1)
-    x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-    loss = _scalarize(softmax_rows(x), np.ones(24))
-    loss.backward()
-    assert np.max(np.abs(x.grad)) < 1e-12
-
-
-def test_layer_norm_moments():
-    rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(size=(6, 32)) * 3 + 1)
-    out = layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32)))
-    mean = out.data.mean(axis=-1)
-    var = out.data.var(axis=-1)
-    assert np.max(np.abs(mean)) < 1e-9
-    assert np.max(np.abs(var - 1.0)) < 1e-9
-
-
-def test_grad_check_linear_map_is_machine_precision():
-    rng = np.random.default_rng(3)
-    c = rng.normal(size=12)
-    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    err = grad_check(lambda: _scalarize(x, c), [x])
-    assert err < 1e-9
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["add", "mul", "matmul", "batched_matmul", "relu", "gelu", "softmax", "layer_norm",
-     "embedding", "transpose", "cross_entropy"],
-)
-def test_primitive_grad_checks(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
-    w = rng.normal(size=1000)
-
-    if name == "add":
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        params, fn = [a, b], lambda: _scalarize(add(a, b), w[:12])
-    elif name == "mul":
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        params, fn = [a, b], lambda: _scalarize(mul(a, b), w[:12])
-    elif name == "matmul":
-        a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-        params, fn = [a, b], lambda: _scalarize(matmul(a, b), w[:6])
-    elif name == "batched_matmul":
-        a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 3, 5, 2)), requires_grad=True)
-        params, fn = [a, b], lambda: _scalarize(matmul(a, b), w[:48])
-    elif name == "relu":
-        a = Tensor(rng.normal(size=(4, 4)) + 0.2, requires_grad=True)
-        params, fn = [a], lambda: _scalarize(relu(a), w[:16])
-    elif name == "gelu":
-        a = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        params, fn = [a], lambda: _scalarize(gelu(a), w[:16])
-    elif name == "softmax":
-        a = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-        params, fn = [a], lambda: _scalarize(softmax_rows(a), w[:18])
-    elif name == "layer_norm":
-        a = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
-        g = Tensor(rng.normal(size=8) + 1.0, requires_grad=True)
-        b = Tensor(rng.normal(size=8), requires_grad=True)
-        params, fn = [a, g, b], lambda: _scalarize(layer_norm(a, g, b), w[:24])
-    elif name == "embedding":
-        table = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
-        idx = np.array([[0, 3, 3], [6, 1, 0]])  # repeats exercise accumulation
-        params, fn = [table], lambda: _scalarize(embedding_lookup(table, idx), w[:24])
-    elif name == "transpose":
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        params, fn = [a], lambda: _scalarize(transpose(a, (2, 0, 1)), w[:24])
-    else:  # cross_entropy
-        a = Tensor(rng.normal(size=(2, 5, 7)), requires_grad=True)
-        targets = rng.integers(0, 7, size=(2, 5))
-        mask = rng.uniform(size=(2, 5)) > 0.3
-        mask[0, 0] = True
-        params, fn = [a], lambda: cross_entropy_bits(a, targets, mask)
-
-    assert grad_check(fn, params) < 1e-4
-
-
-def test_embedding_duplicate_accumulation_matches_loop():
-    rng = np.random.default_rng(4)
-    table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    idx = np.array([1, 1, 4, 1])
-    out = embedding_lookup(table, idx)
-    loss = _scalarize(out, np.ones(12))
-    loss.backward()
-    manual = np.zeros((5, 3))
-    for i in idx:
-        manual[i] += 1.0
-    assert np.allclose(table.grad, manual)
-
-
-def test_adam_zero_gradients_keep_parameters():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    opt = Adam([p], learning_rate=0.1)
-    p.grad = np.zeros(2)
-    before = p.data.copy()
-    opt.step()
-    assert np.array_equal(p.data, before)
-    assert opt.step_count == 1
-
-
-def test_adam_single_step_hand_case():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Adam([p], learning_rate=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8)
-    p.grad = np.array([0.5])
-    opt.step()
-    m = 0.1 * 0.5
-    v = 0.001 * 0.25
-    mhat = m / 0.1
-    vhat = v / 0.001
-    expect = 1.0 - 0.1 * mhat / (math.sqrt(vhat) + 1e-8)
-    assert p.data[0] == pytest.approx(expect, abs=1e-15)
-
-
-def test_adam_bit_deterministic():
-    def run():
-        rng = np.random.default_rng(5)
-        p = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        opt = Adam([p], learning_rate=1e-2)
-        for step in range(20):
-            opt.zero_grad()
-            loss = _scalarize(mul(p, p), np.ones(16))
-            loss.backward()
-            opt.step()
-        return p.data.tobytes()
-
-    assert run() == run()
-
-
-def test_grad_check_epsilon_validated():
-    x = Tensor(np.ones(2), requires_grad=True)
-    with pytest.raises(ParameterError):
-        grad_check(lambda: _scalarize(x, np.ones(2)), [x], epsilon=1e-2)
-
-
-def test_grad_check_flags_nonfinite():
-    x = Tensor(np.array([[1.0]]), requires_grad=True)
-
-    def bad():
-        return _scalarize(mul(x, Tensor(np.array([[np.inf]]))), np.ones(1))
-
-    with pytest.raises(DivergenceError):
-        grad_check(bad, [x])
-
-
-def test_backward_requires_scalar():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
-    with pytest.raises(ShapeError):
-        add(x, x).backward()
+    logits = rng.normal(size=(5, 7)) * 10
+    x = softmax_attention(AttentionInputs(logits, np.eye(7), np.eye(7)))
+    assert np.max(np.abs(x.sum(axis=-1) - 1.0)) < 1e-12
