@@ -12,6 +12,10 @@ support next to its significance vector (context states, activation
 patterns, codewords), so a product of a matrix with a code gathers the N
 columns of a support it is given and never searches the vector for it
 (:func:`support_matvec`).
+
+``nofm(v, params)`` turns a length-M vector into a code of the geometry it
+is given: N is ``params.n_active``, and a vector whose length is not
+``params.m_total`` is a ParameterError, never a code of another geometry.
 """
 
 from __future__ import annotations
@@ -141,31 +145,28 @@ def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) ->
     return matrix[:, support] @ v[support]
 
 
-def nofm(v: FloatVector, n: int, params: CodeParams) -> RankOrderCode:
-    """Select the n largest components of v as a rank-ordered code.
+def nofm(v: FloatVector, params: CodeParams) -> RankOrderCode:
+    """Select the N = ``params.n_active`` largest components of v as a code.
 
     Ordering is by descending component value; exact ties break toward the
     lower index, which keeps every downstream result reproducible. Raises
-    ParameterError on a non-finite component.
+    ParameterError when v is not a length-M vector or has a non-finite
+    component.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ParameterError(f"nofm expects a vector, got shape {v.shape}")
-    if not 1 <= n <= v.size:
-        raise ParameterError(f"cannot select n={n} components from a length-{v.size} vector")
+    if v.shape != (params.m_total,):
+        raise ParameterError(f"nofm expects a length-{params.m_total} vector, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ParameterError("nofm input is non-finite")
     # the order of np.lexsort((index, -v))[:n]: every index whose value
     # reaches the n-th largest is a candidate, and a stable sort of the
     # ascending candidates by -v breaks ties toward the lower index
+    n = params.n_active
     neg = -v
     kth = np.partition(neg, n - 1)[n - 1]
     candidates = (neg <= kth).nonzero()[0]
     order = candidates[neg[candidates].argsort(kind="stable")[:n]]
-    out_params = params
-    if params.m_total != v.size or params.n_active != n:
-        out_params = CodeParams(m_total=v.size, n_active=n, alpha=params.alpha)
-    return RankOrderCode(out_params, order)
+    return RankOrderCode(params, order)
 
 
 def is_canonical(v: FloatVector, params: CodeParams) -> bool:

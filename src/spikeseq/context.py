@@ -135,5 +135,5 @@ def update_context(
         blend += (1.0 - lam) * _scale(support_matvec(cfg.p2, input_vec, input_support))
     if not blend.any():
         raise DegenerateInputError("blended context drive is identically zero")
-    code = nofm(blend, cfg.code_params.n_active, cfg.code_params)
+    code = nofm(blend, cfg.code_params)
     return ContextState(to_significance(code), code.support)

@@ -1,6 +1,7 @@
 """Positional encodings and the phase/latency equivalence apparatus.
 
-Three encodings over L positions and d (even) dimensions:
+Three encodings over L positions and d (even) dimensions, each an (L, d)
+array whose row pos encodes position pos:
 
 * sinusoidal:      row(pos)[2i] = sin(pos * w_i), row(pos)[2i+1] = cos(pos * w_i),
                    w_i = base**(-2i/d)
@@ -16,6 +17,7 @@ dot-product-vs-distance profiles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,6 @@ from .errors import ParameterError
 
 __all__ = [
     "PosEncParams",
-    "EncodingMatrix",
     "IsomorphismReport",
     "RankInvarianceReport",
     "sinusoidal_pe",
@@ -53,24 +54,16 @@ class PosEncParams:
             raise ParameterError(f"seq_len must be >= 2, got {self.seq_len}")
         if self.dim < 2 or self.dim % 2:
             raise ParameterError(f"dim must be a positive even integer, got {self.dim}")
-        if self.base <= 0 or self.window <= 0:
-            raise ParameterError("base and window must be positive")
+        if not (0 < self.base < math.inf and 0 < self.window < math.inf):
+            raise ParameterError(
+                f"base and window must be positive and finite, got {self.base}, {self.window}"
+            )
 
     @property
     def frequencies(self) -> FloatVector:
         """w_i = base**(-2i/d) for i in [0, d/2)."""
         i = np.arange(self.dim // 2, dtype=np.float64)
         return self.base ** (-2.0 * i / self.dim)
-
-
-@dataclass(frozen=True)
-class EncodingMatrix:
-    rows: FloatVector  # (L, d)
-    kind: str
-
-    @property
-    def seq_len(self) -> int:
-        return self.rows.shape[0]
 
 
 def _interleave(sin_part: FloatVector, cos_part: FloatVector) -> FloatVector:
@@ -80,10 +73,10 @@ def _interleave(sin_part: FloatVector, cos_part: FloatVector) -> FloatVector:
     return out
 
 
-def sinusoidal_pe(p: PosEncParams) -> EncodingMatrix:
+def sinusoidal_pe(p: PosEncParams) -> FloatVector:
     """Standard fixed sinusoidal encoding; phase = pos * w_i."""
     phase = np.outer(np.arange(p.seq_len, dtype=np.float64), p.frequencies)
-    return EncodingMatrix(_interleave(np.sin(phase), np.cos(phase)), "sinusoidal")
+    return _interleave(np.sin(phase), np.cos(phase))
 
 
 def spike_latency(p: PosEncParams, pos) -> FloatVector:
@@ -91,25 +84,26 @@ def spike_latency(p: PosEncParams, pos) -> FloatVector:
     return np.asarray(pos, dtype=np.float64) * p.window / p.seq_len
 
 
-def spike_timing_pe(p: PosEncParams) -> EncodingMatrix:
+def spike_timing_pe(p: PosEncParams) -> FloatVector:
     """Amplitude-scaled encoding: (T/L) times the sinusoidal rows."""
-    base = sinusoidal_pe(p)
-    return EncodingMatrix((p.window / p.seq_len) * base.rows, "spike_timing")
+    return (p.window / p.seq_len) * sinusoidal_pe(p)
 
 
-def freq_compressed_pe(p: PosEncParams, zero_cos: bool = False) -> EncodingMatrix:
-    """Compressed-phase encoding: argument (pos/L) * w_i.
-
-    The cos channel gets the same compressed argument by default; zero_cos
-    drops it instead (the alternative reading of the sin-only definition).
-    """
+def freq_compressed_pe(p: PosEncParams) -> FloatVector:
+    """Compressed-phase encoding: argument (pos/L) * w_i in both channels."""
     phase = np.outer(np.arange(p.seq_len, dtype=np.float64) / p.seq_len, p.frequencies)
-    cos_part = np.zeros_like(phase) if zero_cos else np.cos(phase)
-    return EncodingMatrix(_interleave(np.sin(phase), cos_part), "freq_compressed")
+    return _interleave(np.sin(phase), np.cos(phase))
 
 
-def gram_matrix(e: EncodingMatrix) -> FloatVector:
-    return e.rows @ e.rows.T
+def gram_matrix(e: FloatVector) -> FloatVector:
+    if e.ndim != 2:
+        raise ParameterError(f"an encoding is an (L, d) array, got shape {e.shape}")
+    return e @ e.T
+
+
+def _query_orders(g: FloatVector) -> np.ndarray:
+    """Per query (row), the positions by descending logit, ties to the lower."""
+    return np.argsort(-g, axis=1, kind="stable")
 
 
 def _offdiag(g: FloatVector) -> FloatVector:
@@ -192,9 +186,7 @@ def lemma1_rank_invariance(p: PosEncParams) -> RankInvarianceReport:
     """
     g_pe = gram_matrix(sinusoidal_pe(p))
     g_stpe = gram_matrix(spike_timing_pe(p))
-    order_pe = np.argsort(-g_pe, axis=1, kind="stable")
-    order_stpe = np.argsort(-g_stpe, axis=1, kind="stable")
-    argsorts_equal = bool(np.array_equal(order_pe, order_stpe))
+    argsorts_equal = bool(np.array_equal(_query_orders(g_pe), _query_orders(g_stpe)))
     argmaxes_equal = bool(
         np.array_equal(np.argmax(g_pe, axis=1), np.argmax(g_stpe, axis=1))
     )
@@ -209,26 +201,21 @@ def lemma1_rank_invariance(p: PosEncParams) -> RankInvarianceReport:
     )
 
 
-def rank_counterexample(a: EncodingMatrix, b: EncodingMatrix) -> int | None:
+def rank_counterexample(a: FloatVector, b: FloatVector) -> int | None:
     """First query position whose positional-logit ordering differs, if any."""
-    if a.rows.shape != b.rows.shape:
+    if a.shape != b.shape:
         raise ParameterError("encodings must share (L, d)")
-    ga, gb = gram_matrix(a), gram_matrix(b)
-    for q in range(a.seq_len):
-        if not np.array_equal(
-            np.argsort(-ga[q], kind="stable"), np.argsort(-gb[q], kind="stable")
-        ):
-            return q
-    return None
+    differs = (_query_orders(gram_matrix(a)) != _query_orders(gram_matrix(b))).any(axis=1)
+    return int(differs.argmax()) if differs.any() else None
 
 
-def distance_profile(e: EncodingMatrix) -> list[tuple[int, float]]:
+def distance_profile(e: FloatVector) -> list[tuple[int, float]]:
     """Mean dot product between rows at each positional distance.
 
     delta = 0 is included as the self-similarity reference.
     """
     g = gram_matrix(e)
-    L = e.seq_len
+    L = e.shape[0]
     out = []
     for delta in range(L):
         idx = np.arange(L - delta)

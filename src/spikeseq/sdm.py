@@ -2,7 +2,7 @@
 
 Addressing compares a context code against W stored address codes by
 cosine similarity; locations at or above the threshold contribute,
-weighted by their similarity (a flag switches to binary contribution).
+weighted by their similarity.
 Storage is a correlation matrix updated by the elementwise max of the
 outer product of the data significance vector with the activation
 pattern, which makes writes idempotent and order-independent.
@@ -80,6 +80,11 @@ def _row_norms(rows: FloatVector) -> FloatVector:
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**63:
+        raise ParameterError(f"seed must lie in [0, 2**63), got {seed}")
+
+
 def _random_firing(n: int, params: CodeParams, rng: np.random.Generator) -> IndexVector:
     """(n, N) firing orders, drawn as n calls of ``random_code`` draw them.
 
@@ -112,13 +117,13 @@ class AddressDecoder:
     addresses: FloatVector  # (W, M) stacked significance vectors, column-major
     threshold: float
     code_params: CodeParams
-    binary: bool = False  # True: active locations contribute weight 1
-    seed: int = 0
+    seed: int = 0  # in [0, 2**63), the range of the snapshot's i64 field
     _row_norms: FloatVector = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ParameterError(f"threshold must lie in [0, 1], got {self.threshold}")
+        _check_seed(self.seed)
         if self.addresses.ndim != 2 or self.addresses.shape[1] != self.code_params.m_total:
             raise ParameterError(
                 f"addresses must be (W, {self.code_params.m_total}), got {self.addresses.shape}"
@@ -140,11 +145,11 @@ class AddressDecoder:
         code_params: CodeParams,
         threshold: float,
         seed: int,
-        binary: bool = False,
     ) -> "AddressDecoder":
+        _check_seed(seed)
         firing = _random_firing(n_locations, code_params, np.random.default_rng(seed))
         rows = _significance_rows(firing, code_params, order="F")
-        return cls(rows, threshold, code_params, binary=binary, seed=seed)
+        return cls(rows, threshold, code_params, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -196,12 +201,8 @@ def decode_address(context: ContextState, dec: AddressDecoder) -> ActivationPatt
     Raises ParameterError on an all-zero or non-finite context.
     """
     sims = _address_similarity(context, dec)
-    if dec.binary:
-        weights = (sims >= dec.threshold).astype(np.float64)
-    else:
-        sims[sims < dec.threshold] = 0.0
-        weights = sims
-    return ActivationPattern(weights)
+    sims[sims < dec.threshold] = 0.0
+    return ActivationPattern(sims)
 
 
 @dataclass
@@ -248,7 +249,8 @@ def cmm_read(
 
     Returns (code, confidence). Confidence is the summed activation weight,
     forced to 0.0 when the readout is all-zero (nothing stored where we
-    looked); an all-zero activation raises NoActiveLocationError.
+    looked); an all-zero activation raises NoActiveLocationError, and
+    params whose M is not the matrix's row count a ParameterError.
     """
     if activation.n_active == 0:
         raise NoActiveLocationError("no address-decoder location is active")
@@ -256,7 +258,7 @@ def cmm_read(
     # the sum over all W weights, not only the active ones: another summation
     # order would move the last ulp of the confidence
     confidence = activation.total if readout.any() else 0.0
-    return nofm(readout, params.n_active, params), confidence
+    return nofm(readout, params), confidence
 
 
 def calibrate_threshold(dec: AddressDecoder, target_active: int, seed: int) -> float:

@@ -5,10 +5,9 @@ addresses a sparse distributed memory that stores next-symbol codes
 one-shot; decoding projects a retrieved burst back onto the codebook
 (transposed-encoder scores) and takes the winner.
 
-Recall is autoregressive: the decoded symbol's clean code is fed back by
-default (a flag switches to the raw readout code for degradation
-studies), and weak retrievals halt with a reason instead of emitting
-garbage.
+Recall is autoregressive: the decoded symbol's clean code is fed back,
+and a retrieval with no active location or zero confidence halts with a
+reason instead of emitting garbage.
 
 Every code on the step path carries its ascending support: the codebook
 caches each codeword's, the context state holds the one its update
@@ -152,9 +151,9 @@ class SequenceMachine:
     """One-shot sequence store built from the module primitives.
 
     All randomness (codebook, projections, addresses and the probe contexts
-    of threshold calibration) is derived from a single seed, so identical
-    seeds and inputs give bit-identical behaviour. Runs start from the
-    empty history, so a full gate (``lambda_gate`` 1) is rejected.
+    of threshold calibration) is derived from a single seed in [0, 2**63),
+    so identical seeds and inputs give bit-identical behaviour. Runs start
+    from the empty history, so a full gate (``lambda_gate`` 1) is rejected.
     """
 
     def __init__(
@@ -167,21 +166,16 @@ class SequenceMachine:
         lambda_gate: float = 0.7,
         target_active: int = 16,
         seed: int = 0,
-        min_confidence: float = 0.0,
-        feedback: str = "clean",
     ):
-        if feedback not in ("clean", "readout"):
-            raise ParameterError(f"feedback must be 'clean' or 'readout', got {feedback!r}")
         if lambda_gate == 1.0:
             raise ParameterError(
                 "lambda_gate=1 ignores every input, so the first update from the "
                 "empty start history has no drive"
             )
         self.params = CodeParams(m_total, n_active, alpha)
-        self.seed = seed
-        self.min_confidence = min_confidence
-        self.feedback = feedback
-
+        # the decoder draws from the seed itself and rejects one outside
+        # [0, 2**63) before SeedSequence sees it
+        self.decoder = AddressDecoder.random(n_locations, self.params, 0.0, seed=seed)
         ss = np.random.SeedSequence(seed).spawn(3)
         self.codebook = Codebook.random(
             alphabet_size, self.params, np.random.default_rng(ss[0])
@@ -189,7 +183,6 @@ class SequenceMachine:
         self.context_cfg = ContextConfig.random(
             lambda_gate, self.params, np.random.default_rng(ss[1])
         )
-        self.decoder = AddressDecoder.random(n_locations, self.params, 0.0, seed=seed)
         self.decoder.threshold = calibrate_threshold(
             self.decoder, target_active, seed=int(ss[2].generate_state(1)[0])
         )
@@ -223,8 +216,8 @@ def learn_sequence(m: SequenceMachine, symbols: list[int]) -> SequenceMachine:
 def recall_sequence(m: SequenceMachine, seed_symbols: list[int], steps: int) -> RecallResult:
     """Prime the context with seed symbols, then predict autoregressively.
 
-    Retrieval failures (no active location, confidence at or below the
-    machine's min_confidence) end the run with a halt reason.
+    Retrieval failures (no active location, zero confidence) end the run
+    with a halt reason.
     """
     if not seed_symbols:
         raise ParameterError("recall needs at least one seed symbol")
@@ -240,15 +233,11 @@ def recall_sequence(m: SequenceMachine, seed_symbols: list[int], steps: int) -> 
             code, confidence = cmm_read(m.memory, act, m.params)
         except NoActiveLocationError:
             return RecallResult(out, halt_reason="no active memory location")
-        if confidence <= m.min_confidence:
-            return RecallResult(out, halt_reason=f"confidence {confidence:g} too low")
-        burst = to_significance(code)
-        symbol, margin = decode_burst(m.codebook, burst)
+        if confidence == 0.0:
+            return RecallResult(out, halt_reason="confidence 0 too low")
+        symbol, margin = decode_burst(m.codebook, to_significance(code))
         out.append(RecallStep(symbol, margin, confidence))
-        if m.feedback == "clean":
-            state = _feed_symbol(m, state, symbol)
-        else:
-            state = update_context(state, burst, code.support, m.context_cfg)
+        state = _feed_symbol(m, state, symbol)
     return RecallResult(out)
 
 
@@ -261,8 +250,10 @@ def sample_sequences(
     fully i.i.d. draws two stored sequences regularly share a first
     symbol, which makes their continuations inherently ambiguous.
     """
-    if n_sequences > alphabet_size:
-        raise ParameterError("need n_sequences <= alphabet_size for distinct first symbols")
+    if not 0 <= n_sequences <= alphabet_size:
+        raise ParameterError("need 0 <= n_sequences <= alphabet_size for distinct first symbols")
+    if length < 1:
+        raise ParameterError(f"sequence length must be >= 1, got {length}")
     firsts = rng.permutation(alphabet_size)[:n_sequences]
     return [
         [int(f)] + [int(s) for s in rng.integers(0, alphabet_size, size=length - 1)]
@@ -285,8 +276,11 @@ def capacity_experiment(
 
     Each seed builds a fresh machine, stores n_sequences random sequences
     once, then recalls each from its first symbol and scores the predicted
-    continuation symbol-by-symbol.
+    continuation symbol-by-symbol, so it needs at least one sequence of two
+    or more symbols.
     """
+    if n_sequences < 1 or length < 2:
+        raise ParameterError(f"nothing to score with {n_sequences} sequences of length {length}")
     accuracies = []
     for k in range(n_seeds):
         seed = base_seed + k

@@ -77,8 +77,6 @@ class _Reference:
         np.clip(sims, 0.0, 1.0, out=sims)
         sims[sims >= 1.0 - 1e-12] = 1.0
         mask = sims >= dec.threshold
-        if dec.binary:
-            return mask.astype(np.float64)
         return np.where(mask, sims, 0.0)
 
     def _cmm_write(self, weights, data):
@@ -125,13 +123,12 @@ class _Reference:
             if np.count_nonzero(weights) == 0:
                 return out, "no active memory location"
             order, confidence = self._cmm_read(weights)
-            if confidence <= self.m.min_confidence:
+            if confidence <= 0.0:
                 return out, f"confidence {confidence:g} too low"
             burst = _to_significance(order, p.m_total, p.alpha)
             symbol, margin = self._decode_burst(burst)
             out.append((symbol, margin, confidence))
-            feedback = self._encode(symbol) if self.m.feedback == "clean" else burst
-            self._advance(feedback)
+            self._advance(self._encode(symbol))
         return out, None
 
 
@@ -205,12 +202,3 @@ def test_full_gate_raises_like_reference():
     outcomes = [_outcome(ref.learn, s) for s in seqs]
     outcomes += [_outcome(ref.recall, s[:k], 6 - k) for s in seqs for k in range(1, 6)]
     assert set(outcomes) == {DegenerateInputError}
-
-
-def test_readout_feedback_matches_reference():
-    _compare({"feedback": "readout"}, n_seqs=12, length=10, all_prefixes=True, seed=4)
-
-
-def test_confidence_halts_match_reference():
-    outcomes = _compare({"min_confidence": 3.0}, n_seqs=12, length=10, all_prefixes=True, seed=5)
-    assert any(h and h.startswith("confidence") for h in _halts(outcomes))

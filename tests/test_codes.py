@@ -114,33 +114,43 @@ def test_cosine_zero_vector_rejected():
 
 def test_nofm_small_cases():
     p = CodeParams(4, 2, 0.5)
-    assert nofm(np.array([0.1, 0.9, 0.4, 0.7]), 2, p).firing_order == (1, 3)
+    assert nofm(np.array([0.1, 0.9, 0.4, 0.7]), p).firing_order == (1, 3)
     p1 = CodeParams(3, 1, 0.5)
-    assert nofm(np.array([0.5, 0.5, 0.0]), 1, p1).firing_order == (0,)
+    assert nofm(np.array([0.5, 0.5, 0.0]), p1).firing_order == (0,)
 
 
 def test_nofm_full_sort_matches_reference():
     rng = np.random.default_rng(3)
     v = rng.normal(size=16)
     p = CodeParams(16, 16, 0.9)
-    got = nofm(v, 16, p).firing_order
+    got = nofm(v, p).firing_order
     ref = tuple(sorted(range(16), key=lambda i: (-v[i], i)))
     assert got == ref
 
 
 def test_nofm_rejects_oversized_n():
-    p = CodeParams(4, 2, 0.5)
+    p = CodeParams(5, 5, 0.5)
     with pytest.raises(ParameterError):
-        nofm(np.zeros(3), 5, p)
+        nofm(np.zeros(3), p)
+
+
+def test_nofm_rejects_a_vector_of_another_geometry():
+    # N and M come from params: a vector whose length is not M is an error,
+    # not a code of a geometry nobody asked for
+    p = CodeParams(4, 2, 0.5)
+    for v in (np.arange(8.0), np.arange(3.0), np.ones((2, 4))):
+        with pytest.raises(ParameterError, match="length-4"):
+            nofm(v, p)
+    assert nofm(np.arange(4.0), p).params is p
 
 
 def test_nofm_recovers_canonical_code():
-    # nofm(to_significance(c), N) is the identity on canonical codes
+    # nofm(to_significance(c), params) is the identity on canonical codes
     rng = np.random.default_rng(5)
     p = CodeParams(256, 11, 0.9)
     for _ in range(50):
         c = random_code(p, rng)
-        back = nofm(to_significance(c), p.n_active, p)
+        back = nofm(to_significance(c), p)
         assert back.firing_order == c.firing_order
 
 
@@ -284,7 +294,7 @@ def test_nofm_rejects_non_finite_input(bad):
     v = np.arange(8.0)
     v[3] = bad  # a NaN used to be skipped silently: (7, 6, 5)
     with pytest.raises(ParameterError, match="non-finite"):
-        nofm(v, 3, p)
+        nofm(v, p)
 
 
 def _lexsort_order(v, n):
@@ -299,7 +309,7 @@ _tied = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]), _entries)
 @given(v=arrays(np.float64, st.integers(1, 64), elements=_tied), data=st.data())
 def test_nofm_orders_by_value_then_lower_index(v, data):
     n = data.draw(st.integers(1, v.size))
-    order = nofm(v, n, CodeParams(v.size, n, 0.9)).firing_order
+    order = nofm(v, CodeParams(v.size, n, 0.9)).firing_order
     assert order == _lexsort_order(v, n)
     for a, b in zip(order, order[1:]):
         assert v[a] > v[b] or (v[a] == v[b] and a < b)
@@ -321,4 +331,4 @@ def test_nofm_invariant_to_positive_scale(v, exponent, data):
     # scaled vector has the same order and the same ties
     n = data.draw(st.integers(1, v.size))
     p = CodeParams(v.size, n, 0.9)
-    assert nofm(2.0**exponent * v, n, p).firing_order == nofm(v, n, p).firing_order
+    assert nofm(2.0**exponent * v, p).firing_order == nofm(v, p).firing_order

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from spikeseq.errors import ParameterError
 from spikeseq.posenc import (
-    EncodingMatrix,
     PosEncParams,
     distance_profile,
     freq_compressed_pe,
@@ -34,17 +33,24 @@ def test_params_validation():
         PosEncParams(8, 8, window=0.0)
 
 
+@pytest.mark.parametrize("bad", [{"base": math.nan}, {"window": math.inf}])
+def test_params_reject_non_finite_base_and_window(bad):
+    # either one makes every field of verify_isomorphism's report NaN
+    with pytest.raises(ParameterError, match="finite"):
+        PosEncParams(16, 8, **bad)
+
+
 def test_sinusoidal_row_zero_and_entry():
     pe = sinusoidal_pe(PosEncParams(8, 6))
-    assert np.array_equal(pe.rows[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-    assert pe.rows[1, 0] == pytest.approx(math.sin(1.0), abs=0)
-    assert pe.rows[1, 0] == pytest.approx(0.841471, abs=1e-6)
+    assert np.array_equal(pe[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    assert pe[1, 0] == pytest.approx(math.sin(1.0), abs=0)
+    assert pe[1, 0] == pytest.approx(0.841471, abs=1e-6)
 
 
 def test_sinusoidal_self_dot_is_half_dim():
     for L, d in [(16, 8), (128, 128), (64, 32)]:
         pe = sinusoidal_pe(PosEncParams(L, d))
-        dots = np.einsum("ij,ij->i", pe.rows, pe.rows)
+        dots = np.einsum("ij,ij->i", pe, pe)
         assert np.max(np.abs(dots - d / 2)) < 1e-9
 
 
@@ -52,10 +58,10 @@ def test_spike_timing_is_scaled_sinusoidal():
     p = PosEncParams(32, 16, window=4.0)
     pe = sinusoidal_pe(p)
     st = spike_timing_pe(p)
-    assert np.array_equal(st.rows, (4.0 / 32) * pe.rows)
+    assert np.array_equal(st, (4.0 / 32) * pe)
     # T=L: identical
     p1 = PosEncParams(32, 16, window=32.0)
-    assert np.array_equal(spike_timing_pe(p1).rows, sinusoidal_pe(p1).rows)
+    assert np.array_equal(spike_timing_pe(p1), sinusoidal_pe(p1))
 
 
 def test_spike_latency_endpoints():
@@ -67,12 +73,10 @@ def test_spike_latency_endpoints():
 def test_freq_compressed_row_zero_and_phase_range():
     p = PosEncParams(128, 64)
     fc = freq_compressed_pe(p)
-    assert np.all(fc.rows[0, 0::2] == 0.0)
+    assert np.all(fc[0, 0::2] == 0.0)
     # compressed arguments stay below one radian
     args = np.outer(np.arange(128) / 128.0, p.frequencies)
     assert args.max() < 1.0
-    fz = freq_compressed_pe(p, zero_cos=True)
-    assert np.all(fz.rows[:, 1::2] == 0.0)
 
 
 def test_isomorphism_report_at_figure_parameters():
@@ -178,6 +182,22 @@ def test_freq_compressed_breaks_rank_order():
     assert rank_counterexample(sinusoidal_pe(P128), spike_timing_pe(P128)) is None
 
 
+@pytest.mark.parametrize("L", [16, 128])
+def test_rank_counterexample_is_the_first_differing_query(L):
+    # the first row where the per-query stable argsorts of the two grams differ
+    p = PosEncParams(L, 64, window=1.0)
+    g_pe = gram_matrix(sinusoidal_pe(p))
+    g_fc = gram_matrix(freq_compressed_pe(p))
+    want = next(
+        q
+        for q in range(L)
+        if not np.array_equal(
+            np.argsort(-g_pe[q], kind="stable"), np.argsort(-g_fc[q], kind="stable")
+        )
+    )
+    assert rank_counterexample(sinusoidal_pe(p), freq_compressed_pe(p)) == want
+
+
 def test_distance_profile_reference_and_shape():
     prof = distance_profile(sinusoidal_pe(P128))
     assert prof[0] == (0, pytest.approx(64.0, abs=1e-9))
@@ -213,3 +233,11 @@ def test_rank_counterexample_shape_guard():
         rank_counterexample(
             sinusoidal_pe(PosEncParams(8, 4)), sinusoidal_pe(PosEncParams(8, 6))
         )
+
+
+def test_checks_reject_an_encoding_that_is_not_a_matrix():
+    v = np.arange(8.0)
+    with pytest.raises(ParameterError, match="shape"):
+        rank_counterexample(v, v)
+    with pytest.raises(ParameterError, match="shape"):
+        distance_profile(v)

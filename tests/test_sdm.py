@@ -26,8 +26,8 @@ from spikeseq.sdm import (
 from spikeseq.seqmachine import SequenceMachine
 
 
-def _decoder(seed=0, w=8, m=16, n=4, theta=0.5, binary=False):
-    return AddressDecoder.random(w, CodeParams(m, n, 0.9), theta, seed, binary=binary)
+def _decoder(seed=0, w=8, m=16, n=4, theta=0.5):
+    return AddressDecoder.random(w, CodeParams(m, n, 0.9), theta, seed)
 
 
 def _decode(ctx, dec):
@@ -55,8 +55,6 @@ def test_zero_threshold_activates_everything():
     act = _decode(ctx, dec)
     raw = np.array([cosine_sim(ctx, dec.addresses[k]) for k in range(dec.n_locations)])
     assert np.allclose(act.weights, raw, atol=1e-12)
-    dec_b = _decoder(theta=0.0, binary=True)
-    assert _decode(ctx, dec_b).n_active == dec_b.n_locations
 
 
 def test_unit_threshold_hits_only_identical_address():
@@ -65,14 +63,6 @@ def test_unit_threshold_hits_only_identical_address():
     act = _decode(ctx, dec)
     assert act.weights[5] == pytest.approx(1.0, abs=1e-12)
     assert act.n_active == 1
-
-
-def test_binary_mode():
-    dec = _decoder(theta=0.3, binary=True)
-    rng = np.random.default_rng(2)
-    ctx = to_significance(random_code(dec.code_params, rng))
-    w = _decode(ctx, dec).weights
-    assert set(np.unique(w)) <= {0.0, 1.0}
 
 
 def test_write_idempotent_and_monotone():
@@ -129,6 +119,15 @@ def test_empty_memory_read_flags_zero_confidence():
     code, confidence = cmm_read(cmm, act, p)
     assert confidence == 0.0
     assert code.firing_order == (0, 1, 2, 3)  # all-tied readout, lowest indices
+
+
+def test_read_rejects_params_of_another_geometry():
+    # a read returns a code of the params' geometry or raises
+    cmm = CorrelationMatrix(np.ones((16, 8)))
+    act = ActivationPattern(np.full(8, 0.5))
+    assert cmm_read(cmm, act, CodeParams(16, 4, 0.9))[0].params.m_total == 16
+    with pytest.raises(ParameterError, match="length-8"):
+        cmm_read(cmm, act, CodeParams(8, 4, 0.9))
 
 
 def test_all_zero_activation_rejected():
@@ -229,6 +228,23 @@ def test_snapshot_roundtrip_and_header(tmp_path):
     assert magic == b"SDMW" and version == 1 and (dim, w) == (16, 8)
     assert seed == 123 and theta == 0.37
     assert len(raw) == 32 + 16 * 8 * 8
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63])
+def test_decoder_rejects_seed_outside_the_snapshot_range(seed):
+    # the snapshot stores the seed as an i64, and numpy takes no negative seed
+    p = CodeParams(16, 4, 0.9)
+    with pytest.raises(ParameterError, match="seed"):
+        AddressDecoder.random(8, p, 0.3, seed)
+    with pytest.raises(ParameterError, match="seed"):
+        AddressDecoder(_decoder().addresses, 0.3, p, seed=seed)
+
+
+def test_snapshot_roundtrip_at_the_largest_seed(tmp_path):
+    dec = AddressDecoder.random(8, CodeParams(16, 4, 0.9), 0.3, seed=2**63 - 1)
+    path = tmp_path / "mem.sdm"
+    save_memory(path, CorrelationMatrix(np.ones((16, 8))), dec)
+    assert load_memory(path)[1]["seed"] == 2**63 - 1
 
 
 def test_snapshot_rejects_garbage(tmp_path):

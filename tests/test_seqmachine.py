@@ -159,11 +159,24 @@ def test_capacity_smoke():
     assert float(np.mean(accs)) >= 0.95
 
 
-def test_readout_feedback_mode_runs():
-    m = SequenceMachine(seed=7, feedback="readout")
-    learn_sequence(m, [0, 1, 2, 3])
-    r = recall_sequence(m, [0], 3)
-    assert r.symbols[:1] == [1]
+@pytest.mark.parametrize("n_sequences, length", [(-1, 5), (5, 0), (5, -2)])
+def test_sample_sequences_rejects_bad_counts(n_sequences, length):
+    with pytest.raises(ParameterError):
+        sample_sequences(np.random.default_rng(0), n_sequences, length, 26)
+    assert sample_sequences(np.random.default_rng(0), 0, 5, 26) == []
+
+
+@pytest.mark.parametrize("n_sequences, length", [(3, 1), (3, 0), (-2, 3), (0, 3)])
+def test_capacity_experiment_rejects_nothing_to_score(n_sequences, length):
+    # recall from the first symbol scores the length - 1 symbols after it
+    with pytest.raises(ParameterError):
+        capacity_experiment(n_sequences=n_sequences, length=length, n_seeds=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63])
+def test_machine_rejects_seed_outside_the_snapshot_range(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        SequenceMachine(seed=seed)
 
 
 def test_codebook_larger_than_code_space_rejected():
