@@ -13,6 +13,17 @@ array whose row pos encodes position pos:
 Verification helpers check the exact pairwise phase-difference identity, the
 (T/L)^2 gram scaling, rank preservation of positional attention logits, and
 dot-product-vs-distance profiles.
+
+Order and rank checks sort one side only. A row of the second gram has the
+first row's stable descending order exactly when, at every step along that
+order, its value strictly falls, or ties with the position rising. Two rows
+have equal ``scipy.stats.rankdata`` ranks exactly when they have the same
+stable order and tie at the same steps along it: the tie groups are then the
+same positions, and a rank is the mean place of its group. So one sort
+decides both, and scipy ranks only the rows whose ranks differ. Grams are
+compared in blocks of ``_ROW_BLOCK`` rows, so no (L, L) order, rank or mask
+matrix is made. A row or vector holding a non-finite value is argsorted or
+ranked in full on both sides, so NaN keeps argsort's and rankdata's handling.
 """
 
 from __future__ import annotations
@@ -101,9 +112,40 @@ def gram_matrix(e: FloatVector) -> FloatVector:
     return e @ e.T
 
 
+_ROW_BLOCK = 128  # rows compared at once: (128, L) temporaries, never (L, L)
+
+
 def _query_orders(g: FloatVector) -> np.ndarray:
     """Per query (row), the positions by descending logit, ties to the lower."""
     return np.argsort(-g, axis=1, kind="stable")
+
+
+def _finite_rows(a: FloatVector, b: FloatVector) -> np.ndarray:
+    return np.isfinite(a).all(axis=-1) & np.isfinite(b).all(axis=-1)
+
+
+def _orders_kept(order: np.ndarray, a: FloatVector, b: FloatVector) -> np.ndarray:
+    """Per row of a block: is ``order``, the stable descending order of ``a``,
+    also that of ``b``? Rows holding a non-finite value are argsorted."""
+    sb = np.take_along_axis(b, order, axis=1)
+    falls, ties = sb[:, :-1] > sb[:, 1:], sb[:, :-1] == sb[:, 1:]
+    kept = (falls | ties & (order[:, :-1] < order[:, 1:])).all(axis=1)
+    odd = ~_finite_rows(a, b)
+    if odd.any():
+        kept[odd] = (order[odd] == _query_orders(b[odd])).all(axis=1)
+    return kept
+
+
+def _ranks_kept(order: np.ndarray, a: FloatVector, b: FloatVector) -> np.ndarray:
+    """Per row (or for one vector): do ``a`` and ``b`` have equal rankdata
+    ranks, given ``order`` sorting ``a`` descending with ties in any order?
+    False where a non-finite value is held."""
+    sa = np.take_along_axis(a, order, axis=-1)
+    sb = np.take_along_axis(b, order, axis=-1)
+    kept = np.where(
+        sa[..., :-1] == sa[..., 1:], sb[..., :-1] == sb[..., 1:], sb[..., :-1] > sb[..., 1:]
+    ).all(axis=-1)
+    return kept & _finite_rows(a, b)
 
 
 def _offdiag(g: FloatVector) -> FloatVector:
@@ -112,7 +154,13 @@ def _offdiag(g: FloatVector) -> FloatVector:
 
 
 def _spearman(x: FloatVector, y: FloatVector) -> float:
-    """Spearman rho; exactly 1.0 when the tie-aware rankings coincide."""
+    """Spearman rho; exactly 1.0 when the tie-aware rankings coincide.
+
+    One sort of ``x`` decides that; scipy ranks only vectors whose ranks
+    differ or that hold a non-finite value.
+    """
+    if _ranks_kept(np.argsort(x)[::-1], x, y):
+        return 1.0
     rx = stats.rankdata(x)
     ry = stats.rankdata(y)
     if np.array_equal(rx, ry):
@@ -136,8 +184,13 @@ def verify_isomorphism(p: PosEncParams) -> IsomorphismReport:
         (L/T) times the frequency-scaled latency difference.
     (b) Every spike-timing gram entry equals (T/L)^2 times the sinusoidal
         one (relative error reported).
-    (c) Pearson/Spearman correlation of the two grams' off-diagonals.
+    (c) Pearson/Spearman correlation of the two grams' off-diagonals, which
+        needs at least 3 positions (2 give one pair, nothing to correlate).
     """
+    if p.seq_len < 3:
+        raise ParameterError(
+            f"verify_isomorphism needs at least 3 positions, got seq_len={p.seq_len}"
+        )
     pos = np.arange(p.seq_len, dtype=np.float64)
     phase = np.outer(pos, p.frequencies)
     phase_spike = np.outer(spike_latency(p, pos), p.frequencies)
@@ -179,34 +232,56 @@ def lemma1_rank_invariance(p: PosEncParams) -> RankInvarianceReport:
     softmax (acting as an inverse temperature), which the peak-weight
     ratio makes visible.
 
+    Each row block of the PE gram is sorted once; along that order the STPE
+    rows are checked for the same order and the same ranks. Only rows whose
+    ranks differ, or that hold a non-finite value, reach scipy's rankdata and
+    pearsonr; every other row scores Spearman 1.0.
+
     Float caveat: when T/L is a power of two (e.g. the default T=1 with
     L=128) the scaling is exact and argsort equality holds bit-for-bit;
     otherwise mathematically tied logits (positions mirrored around the
     query) can swap within rounding noise.
     """
-    g_pe = gram_matrix(sinusoidal_pe(p))
-    g_stpe = gram_matrix(spike_timing_pe(p))
-    argsorts_equal = bool(np.array_equal(_query_orders(g_pe), _query_orders(g_stpe)))
-    argmaxes_equal = bool(
-        np.array_equal(np.argmax(g_pe, axis=1), np.argmax(g_stpe, axis=1))
-    )
-    spearmans = [_spearman(g_pe[q], g_stpe[q]) for q in range(p.seq_len)]
-    peak_pe = _row_softmax(g_pe).max(axis=1)
-    peak_stpe = _row_softmax(g_stpe).max(axis=1)
+    return _rank_invariance(gram_matrix(sinusoidal_pe(p)), gram_matrix(spike_timing_pe(p)))
+
+
+def _rank_invariance(g_a: FloatVector, g_b: FloatVector) -> RankInvarianceReport:
+    """lemma1_rank_invariance's report for any two (L, L) grams."""
+    L = g_a.shape[0]
+    orders_equal = True
+    spearmans = [1.0] * L
+    peak_ratio = np.empty(L)
+    for lo in range(0, L, _ROW_BLOCK):
+        a, b = g_a[lo : lo + _ROW_BLOCK], g_b[lo : lo + _ROW_BLOCK]
+        order = _query_orders(a)
+        orders_equal = orders_equal and bool(_orders_kept(order, a, b).all())
+        for q in np.flatnonzero(~_ranks_kept(order, a, b)):
+            spearmans[lo + q] = _spearman(a[q], b[q])
+        peak_ratio[lo : lo + len(a)] = _row_softmax(a).max(axis=1) / _row_softmax(b).max(axis=1)
     return RankInvarianceReport(
-        argsorts_equal,
-        argmaxes_equal,
+        orders_equal,
+        bool(np.array_equal(np.argmax(g_a, axis=1), np.argmax(g_b, axis=1))),
         min(spearmans),
-        float(np.min(peak_pe / peak_stpe)),
+        float(np.min(peak_ratio)),
     )
 
 
 def rank_counterexample(a: FloatVector, b: FloatVector) -> int | None:
-    """First query position whose positional-logit ordering differs, if any."""
+    """First query position whose positional-logit ordering differs, if any.
+
+    Row blocks of ``a``'s gram are sorted in turn and the search stops at the
+    first block holding a differing row. Rows of ``b``'s gram are argsorted
+    only where a non-finite value is held.
+    """
     if a.shape != b.shape:
         raise ParameterError("encodings must share (L, d)")
-    differs = (_query_orders(gram_matrix(a)) != _query_orders(gram_matrix(b))).any(axis=1)
-    return int(differs.argmax()) if differs.any() else None
+    g_a, g_b = gram_matrix(a), gram_matrix(b)
+    for lo in range(0, g_a.shape[0], _ROW_BLOCK):
+        ba, bb = g_a[lo : lo + _ROW_BLOCK], g_b[lo : lo + _ROW_BLOCK]
+        kept = _orders_kept(_query_orders(ba), ba, bb)
+        if not kept.all():
+            return lo + int(kept.argmin())
+    return None
 
 
 def distance_profile(e: FloatVector) -> list[tuple[int, float]]:
@@ -215,9 +290,4 @@ def distance_profile(e: FloatVector) -> list[tuple[int, float]]:
     delta = 0 is included as the self-similarity reference.
     """
     g = gram_matrix(e)
-    L = e.shape[0]
-    out = []
-    for delta in range(L):
-        idx = np.arange(L - delta)
-        out.append((delta, float(np.mean(g[idx, idx + delta]))))
-    return out
+    return [(delta, float(np.mean(g.diagonal(delta)))) for delta in range(e.shape[0])]

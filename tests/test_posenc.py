@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ def test_isomorphism_gram_pairs_quarter_scale():
     assert np.array_equal(g_st, g_pe / 16384.0)
 
 
+def test_isomorphism_needs_three_positions():
+    # two positions give one off-diagonal pair: nothing to correlate
+    p2 = PosEncParams(2, 8)
+    with pytest.raises(ParameterError, match="at least 3 positions"):
+        verify_isomorphism(p2)
+    assert verify_isomorphism(PosEncParams(3, 8, window=3.0)).spearman_rho == 1.0
+    # two positions stay valid for the encoders and the other checks
+    assert sinusoidal_pe(p2).shape == (2, 8)
+    assert lemma1_rank_invariance(p2).all_argsorts_equal
+    assert rank_counterexample(sinusoidal_pe(p2), spike_timing_pe(p2)) is None
+    assert len(distance_profile(sinusoidal_pe(p2))) == 2
+
+
 def test_isomorphism_t_equals_l_scale_one():
     rep = verify_isomorphism(PosEncParams(64, 32, window=64.0))
     assert rep.max_abs_residual == 0.0
@@ -173,6 +187,26 @@ def test_lemma1_generic_windows_up_to_tied_logits():
         rep = lemma1_rank_invariance(p)
         assert rep.all_argmaxes_equal
         assert rep.min_query_spearman >= 0.98
+
+
+@pytest.mark.parametrize("check", ["lemma1_rank_invariance", "rank_counterexample"])
+def test_rank_checks_peak_memory(check):
+    # the two (L, L) float64 grams take 16 MiB at L=1024; the checks compare
+    # them in row blocks, while ranking or argsorting whole grams would make
+    # (L, L) rank or order matrices on top and pass 6 gram sizes (48 MiB)
+    p = PosEncParams(1024, 64)
+    pe, stpe = sinusoidal_pe(p), spike_timing_pe(p)
+    run = {
+        "lemma1_rank_invariance": lambda: lemma1_rank_invariance(p),
+        "rank_counterexample": lambda: rank_counterexample(pe, stpe),
+    }[check]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 1024 * 1024 * 8
 
 
 def test_freq_compressed_breaks_rank_order():
