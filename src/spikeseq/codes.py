@@ -7,14 +7,19 @@ so cosine similarity between codes privileges agreement at early ranks.
 
 Significance vectors are plain float64 numpy arrays of length M; the
 structured type is :class:`RankOrderCode`. A code's support is the
-ascending array of its N firing indices. The engine carries each code's
-support next to its significance vector (context states, activation
-patterns, codewords), so a product of a matrix with a code gathers the N
-columns of a support it is given and never searches the vector for it
-(:func:`support_matvec`).
+ascending array of its N firing indices.
 
-``nofm(v, params)`` turns a length-M vector into a code of the geometry it
-is given: N is ``params.n_active``, and a vector whose length is not
+The engine works on blocks of B codes along a leading axis: (B, M)
+significance rows, (B, N) firing orders and (B, K) ascending supports.
+``nofm_rows`` selects the top N of every row, ``significance_rows`` turns
+firing orders into rows, ``vector_norm`` takes the norm along the last
+axis, and ``support_matvec`` multiplies a matrix by every row over the
+support it is given, so that it gathers the N columns of each support and
+never searches a row for it. Each of them gives every row the bits that
+the same function gives a block of that one row.
+
+``nofm(v, params)`` turns one length-M vector into a code of the geometry
+it is given: N is ``params.n_active``, and a vector whose length is not
 ``params.m_total`` is a ParameterError, never a code of another geometry.
 """
 
@@ -35,7 +40,9 @@ __all__ = [
     "vector_norm",
     "cosine_sim",
     "support_matvec",
+    "significance_rows",
     "nofm",
+    "nofm_rows",
     "is_canonical",
     "random_code",
     "info_bits_ordered",
@@ -45,6 +52,8 @@ __all__ = [
 
 FloatVector = NDArray[np.float64]
 IndexVector = NDArray[np.intp]
+
+_GATHER_BYTES = 1 << 18  # gathered matrix columns per support_matvec product
 
 
 @dataclass(frozen=True)
@@ -103,13 +112,14 @@ def to_significance(code: RankOrderCode) -> FloatVector:
     return out
 
 
-def vector_norm(v: FloatVector) -> float:
-    """L2 norm of a 1-D vector, ``math.sqrt(v.dot(v))``.
+def vector_norm(v: FloatVector) -> FloatVector:
+    """L2 norm along the last axis, ``np.sqrt(np.vecdot(v, v))``.
 
-    Bit for bit the value of ``np.linalg.norm(v)``, which computes the same
-    square root of the same dot product, without its dispatch overhead.
+    Bit for bit the value of ``np.linalg.norm`` of each row, which computes
+    the same square root of the same dot product, without its dispatch
+    overhead; a 1-D vector gives a scalar.
     """
-    return math.sqrt(v.dot(v))
+    return np.sqrt(np.vecdot(v, v))
 
 
 def cosine_sim(a: FloatVector, b: FloatVector) -> float:
@@ -130,43 +140,87 @@ def cosine_sim(a: FloatVector, b: FloatVector) -> float:
 
 
 def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) -> FloatVector:
-    """``matrix @ v`` over the given support of v: ``matrix[:, support] @ v[support]``.
+    """``matrix @ v[b]`` for every row b of v over its support, (B, R).
 
-    ``support`` holds, in ascending order, every index where v is non-zero
-    (it may hold zeros of v as well); the caller carries it with the code,
-    so it is not searched for here. Equal to the dense product up to
-    summation order (the last ulp). The gather is cheap when matrix is
-    column-major, where each selected column is contiguous; an empty
-    support gives the zero vector.
+    Row b is ``matrix[:, support[b]] @ v[b, support[b]]``: ``support[b]``
+    holds, in ascending order, every index where ``v[b]`` is non-zero (it
+    may hold zeros of ``v[b]`` as well); the caller carries it with the
+    code, so it is not searched for here. A width-0 support gives zero
+    rows. Equal to the dense product up to summation order (the last ulp).
+
+    The block gathers each support's rows of ``matrix.T``, which are
+    contiguous when the matrix is column-major, and multiplies them with
+    ``np.vecmat``; on a column-major matrix that runs the kernel of the
+    2-D product ``matrix[:, s] @ v[s]``, so a row's bits do not depend on
+    the block it is in. A large block is multiplied in slices whose gathered
+    columns stay near 256 KiB, which keeps them in cache and the memory
+    peak low; a block of one row takes the 2-D product, which costs less.
+    """
+    v, support = np.asarray(v, dtype=np.float64), np.asarray(support)
+    if v.ndim != 2 or support.ndim != 2 or matrix.shape[1] != v.shape[1] or (
+        support.shape[0] != v.shape[0]
+    ):
+        raise ParameterError(
+            f"cannot multiply a {matrix.shape} matrix by {v.shape} rows "
+            f"over {support.shape} supports"
+        )
+    batch = v.shape[0]
+    if batch == 1:
+        s = support[0]
+        return (matrix[:, s] @ v[0][s])[None]
+    values = v[np.arange(batch)[:, None], support]
+    # rows per vecmat call, so that the gathered columns stay cache-sized
+    step = max(1, _GATHER_BYTES // (8 * matrix.shape[0] * max(support.shape[1], 1)))
+    out = np.empty((batch, matrix.shape[0]))
+    for lo in range(0, batch, step):
+        hi = lo + step
+        np.vecmat(values[lo:hi], matrix.T[support[lo:hi]], out=out[lo:hi])
+    return out
+
+
+def significance_rows(firing: IndexVector, params: CodeParams, order: str = "C") -> FloatVector:
+    """(B, M) significance rows of the (B, N) firing orders."""
+    rows = np.zeros((firing.shape[0], params.m_total), order=order)
+    rows[np.arange(firing.shape[0])[:, None], firing] = params.significances
+    return rows
+
+
+def nofm_rows(v: FloatVector, params: CodeParams) -> IndexVector:
+    """(B, N) firing orders of the N = ``params.n_active`` largest entries of each row.
+
+    Ordering is by descending component value; exact ties break toward the
+    lower index, which keeps every downstream result reproducible. Raises
+    ParameterError when v is not a block of length-M rows or has a
+    non-finite component.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or matrix.ndim != 2 or matrix.shape[1] != v.size:
-        raise ParameterError(f"cannot multiply a {matrix.shape} matrix by a {v.shape} vector")
-    return matrix[:, support] @ v[support]
+    if v.ndim != 2 or v.shape[1] != params.m_total:
+        raise ParameterError(f"nofm expects length-{params.m_total} rows, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ParameterError("nofm input is non-finite")
+    # the order of np.lexsort((index, -row))[:n]: every index whose value
+    # reaches the row's n-th largest is a candidate; the others are moved
+    # past the candidates, and a stable sort by -value breaks ties toward
+    # the lower index
+    n = params.n_active
+    neg = -v
+    part = neg.copy()
+    part.partition(n - 1, axis=1)
+    neg[neg > part[:, n - 1, None]] = np.inf
+    return neg.argsort(axis=1, kind="stable")[:, :n]
 
 
 def nofm(v: FloatVector, params: CodeParams) -> RankOrderCode:
     """Select the N = ``params.n_active`` largest components of v as a code.
 
-    Ordering is by descending component value; exact ties break toward the
-    lower index, which keeps every downstream result reproducible. Raises
+    The selection of :func:`nofm_rows` on a block of one row. Raises
     ParameterError when v is not a length-M vector or has a non-finite
     component.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (params.m_total,):
         raise ParameterError(f"nofm expects a length-{params.m_total} vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ParameterError("nofm input is non-finite")
-    # the order of np.lexsort((index, -v))[:n]: every index whose value
-    # reaches the n-th largest is a candidate, and a stable sort of the
-    # ascending candidates by -v breaks ties toward the lower index
-    n = params.n_active
-    neg = -v
-    kth = np.partition(neg, n - 1)[n - 1]
-    candidates = (neg <= kth).nonzero()[0]
-    order = candidates[neg[candidates].argsort(kind="stable")[:n]]
-    return RankOrderCode(params, order)
+    return RankOrderCode(params, nofm_rows(v[None], params)[0])
 
 
 def is_canonical(v: FloatVector, params: CodeParams) -> bool:

@@ -11,11 +11,22 @@ selection the canonical geometric weights are reassigned by descending
 blended magnitude, so the state stays in the code space the address
 decoder consumes.
 
+Contexts run in blocks of B chains along a leading axis: a
+:class:`ContextState` holds (B, M) significance rows and their (B, K)
+ascending supports, and one ``update_context`` advances every chain of the
+block. Chains drop out of a block with :meth:`ContextState.take`.
+
+The input term depends only on the input code, so it is computed once per
+code: :func:`input_terms` returns the rows ``(1 - gate) * scale(P2 @ x)``
+of a codebook, and an update adds the row of each chain's input to its
+history term. The arithmetic is the same as computing the term at every
+step, so the states are bit-identical.
+
 The projections are stored column-major. The history and the input are
 N-of-M codes that carry their ascending support, so each product gathers
 only the N projection columns of that support
-(:func:`~spikeseq.codes.support_matvec`); the empty start history gives a
-zero history term.
+(:func:`~spikeseq.codes.support_matvec`); the empty start history has a
+width-0 support and a zero history term.
 
 State is a value: :class:`ContextState` is immutable, ``update_context``
 returns a new one, and callers keep it in a local variable, so any number
@@ -32,14 +43,15 @@ from .codes import (
     CodeParams,
     FloatVector,
     IndexVector,
-    nofm,
+    significance_rows,
     support_matvec,
     to_significance,
     vector_norm,
 )
+from .codes import nofm_rows as nofm  # the step's top-N selection, traced by this name
 from .errors import DegenerateInputError, ParameterError
 
-__all__ = ["ContextConfig", "ContextState", "update_context", "random_projection"]
+__all__ = ["ContextConfig", "ContextState", "input_terms", "update_context", "random_projection"]
 
 
 def random_projection(rows: int, cols: int, rng: np.random.Generator) -> FloatVector:
@@ -50,9 +62,11 @@ def random_projection(rows: int, cols: int, rng: np.random.Generator) -> FloatVe
 
 
 def _scale(v: FloatVector) -> FloatVector:
-    """L2-normalize; the zero vector maps to itself."""
+    """L2-normalize each row; a zero row maps to itself."""
     n = vector_norm(v)
-    return v / n if n > 0.0 else v
+    if 0.0 in n.tolist():  # a few floats: cheaper in Python than a masked write
+        n[n == 0.0] = 1.0
+    return v / n[:, None]
 
 
 @dataclass(frozen=True)
@@ -90,10 +104,11 @@ class ContextConfig:
 
 @dataclass(frozen=True)
 class ContextState:
-    """Current context: a significance vector and its ascending support.
+    """Contexts of B chains: (B, M) significance rows and their ascending supports.
 
-    ``support`` holds every index where ``vector`` is non-zero, ascending.
-    The start state is all-zero with an empty support.
+    ``support[b]`` holds every index where ``vector[b]`` is non-zero,
+    ascending; all chains of a block have supports of one width K. The
+    start state is all-zero with width-0 supports.
     """
 
     vector: FloatVector
@@ -101,39 +116,56 @@ class ContextState:
 
     @classmethod
     def from_code(cls, code) -> "ContextState":
-        return cls(to_significance(code), code.support)
+        """A block of one chain whose context is the code."""
+        return cls(to_significance(code)[None], code.support[None])
 
     @classmethod
-    def start(cls, m_total: int) -> "ContextState":
-        """The empty history: the first update then depends only on its input."""
-        return cls(np.zeros(m_total), np.zeros(0, dtype=np.intp))
+    def start(cls, m_total: int, batch: int) -> "ContextState":
+        """The empty history of ``batch`` chains: their first update depends only on its input."""
+        return cls(np.zeros((batch, m_total)), np.zeros((batch, 0), dtype=np.intp))
+
+    @property
+    def batch(self) -> int:
+        return self.vector.shape[0]
+
+    def take(self, chains) -> "ContextState":
+        """The block of the chains selected by an index or boolean array."""
+        return ContextState(self.vector[chains], self.support[chains])
 
 
-def update_context(
-    prev: ContextState,
-    input_vec: FloatVector,
-    input_support: IndexVector,
-    cfg: ContextConfig,
-) -> ContextState:
-    """One gated update; returns a canonical N-of-M context state.
+def input_terms(vectors: FloatVector, supports: IndexVector, cfg: ContextConfig) -> FloatVector:
+    """Input terms ``(1 - gate) * scale(P2 @ x)`` of the rows x of vectors, (A, M_c).
 
-    ``input_support`` is the ascending support of ``input_vec``. Raises
-    DegenerateInputError when the blended drive is identically zero
-    (possible at a gate boundary with a degenerate projection) and
-    ParameterError when it is non-finite.
+    ``supports`` holds the ascending support of each row. Raises
+    ParameterError when the rows are not inputs of ``cfg``.
     """
-    input_vec = np.asarray(input_vec, dtype=np.float64)
-    if input_vec.shape != (cfg.p2.shape[1],):
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[1] != cfg.p2.shape[1]:
         raise ParameterError(
-            f"input has shape {input_vec.shape}, expected ({cfg.p2.shape[1]},)"
+            f"input has shape {vectors.shape}, expected rows of length {cfg.p2.shape[1]}"
         )
     lam = cfg.lambda_gate
-    blend = np.zeros(cfg.code_params.m_total)
-    if lam > 0.0:
-        blend += lam * _scale(support_matvec(cfg.p1, prev.vector, prev.support))
-    if lam < 1.0:
-        blend += (1.0 - lam) * _scale(support_matvec(cfg.p2, input_vec, input_support))
-    if not blend.any():
+    if lam == 1.0:
+        return np.zeros((vectors.shape[0], cfg.code_params.m_total))
+    return (1.0 - lam) * _scale(support_matvec(cfg.p2, vectors, supports))
+
+
+def update_context(prev: ContextState, terms: FloatVector, cfg: ContextConfig) -> ContextState:
+    """One gated update of every chain; returns canonical N-of-M context states.
+
+    ``terms[b]`` is the input term of chain b's input (a row of
+    :func:`input_terms`). Raises DegenerateInputError when the blended
+    drive of a chain is identically zero (possible at a gate boundary with
+    a degenerate projection) and ParameterError when it is non-finite.
+    """
+    terms = np.asarray(terms, dtype=np.float64)
+    if terms.shape != prev.vector.shape:
+        raise ParameterError(f"input terms are {terms.shape}, contexts {prev.vector.shape}")
+    lam = cfg.lambda_gate
+    blend = terms
+    if lam > 0.0 and prev.support.shape[1]:
+        blend = lam * _scale(support_matvec(cfg.p1, prev.vector, prev.support)) + terms
+    if not all(blend.any(axis=1).tolist()):
         raise DegenerateInputError("blended context drive is identically zero")
-    code = nofm(blend, cfg.code_params)
-    return ContextState(to_significance(code), code.support)
+    firing = nofm(blend, cfg.code_params)
+    return ContextState(significance_rows(firing, cfg.code_params), np.sort(firing, axis=1))

@@ -148,11 +148,6 @@ def _ranks_kept(order: np.ndarray, a: FloatVector, b: FloatVector) -> np.ndarray
     return kept & _finite_rows(a, b)
 
 
-def _offdiag(g: FloatVector) -> FloatVector:
-    iu = np.triu_indices(g.shape[0], k=1)
-    return g[iu]
-
-
 def _spearman(x: FloatVector, y: FloatVector) -> float:
     """Spearman rho; exactly 1.0 when the tie-aware rankings coincide.
 
@@ -202,10 +197,20 @@ def verify_isomorphism(p: PosEncParams) -> IsomorphismReport:
     scale = (p.window / p.seq_len) ** 2
     g_pe = gram_matrix(sinusoidal_pe(p))
     g_stpe = gram_matrix(spike_timing_pe(p))
-    denom = np.maximum(np.abs(scale * g_pe), 1e-300)
-    max_gram_rel_error = float(np.max(np.abs(g_stpe - scale * g_pe) / denom))
+    # |g_stpe - scale g_pe| / max(|scale g_pe|, 1e-300), with two (L, L)
+    # temporaries worked in place
+    scaled = scale * g_pe
+    err = np.subtract(g_stpe, scaled)
+    np.abs(err, out=err)
+    np.abs(scaled, out=scaled)
+    np.maximum(scaled, 1e-300, out=scaled)
+    err /= scaled
+    max_gram_rel_error = float(np.max(err))
+    del scaled, err
 
-    x, y = _offdiag(g_pe), _offdiag(g_stpe)
+    # the off-diagonal pairs i < j, row-major: the order of np.triu_indices
+    upper = np.triu(np.ones((p.seq_len, p.seq_len), dtype=bool), k=1)
+    x, y = g_pe[upper], g_stpe[upper]
     pearson = float(stats.pearsonr(x, y).statistic)
     spearman = _spearman(x, y)
     return IsomorphismReport(max_abs_residual, max_gram_rel_error, pearson, spearman, scale)

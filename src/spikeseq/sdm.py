@@ -7,17 +7,28 @@ Storage is a correlation matrix updated by the elementwise max of the
 outer product of the data significance vector with the activation
 pattern, which makes writes idempotent and order-independent.
 
+Every kernel serves a block of B chains along a leading axis: addressing
+takes a :class:`~spikeseq.context.ContextState` of B contexts and returns
+an :class:`ActivationPattern` of (B, W) weights, a write takes (B, M) data
+rows and a read returns (B, N) firing orders and B confidences.
+
 Every per-step operation touches only the supports: a context has N of M
 entries non-zero and a few of the W locations are active. Each carries its
-support: a :class:`~spikeseq.context.ContextState` its ascending N
-indices, an :class:`ActivationPattern` its ascending active locations,
-found once when the pattern is made. The address matrix (W, M) and the
-correlation matrix (M, W) are stored column-major, so that addressing
-gathers the N address columns of the context's support and a read gathers
-the active location columns (:func:`~spikeseq.codes.support_matvec`). A
-write is a scatter-max over data support x active locations; its products
-are the single multiplies of the dense outer product, so the matrix is
-bit-identical to a dense write.
+support: a context state its ascending N indices per chain, an activation
+pattern the active locations of each chain, found once when the pattern is
+made.
+The address matrix (W, M) and the correlation matrix (M, W) are stored
+column-major, so that addressing gathers the N address columns of each
+context's support (:func:`~spikeseq.codes.support_matvec`). A write is a
+scatter-max over data support x active locations, chain by chain; its
+products are the single multiplies of the dense outer product, so the
+matrix is bit-identical to a dense write, and the max rule makes chains
+that hit one cell in the same step commute.
+
+A read is a product per chain over that chain's active locations. Chains
+have different numbers of active locations, and padding them to one count
+with zero weights would change the summation order of the readout, so the
+read does not stack them.
 
 Threshold invariant: the calibrated threshold is one of the discrete
 cosine levels that addressing computes (or the midpoint of two, when the
@@ -25,6 +36,7 @@ median of an even probe count falls between them), so ``sims >= threshold``
 decides exact float ties. Addressing and calibration therefore share one
 similarity function, ``_address_similarity``: one kernel, one set of float
 guards and the decoder's cached row norms, row-major bit for bit.
+Calibration feeds its probe contexts through it in blocks.
 """
 
 from __future__ import annotations
@@ -39,11 +51,11 @@ from .codes import (
     CodeParams,
     FloatVector,
     IndexVector,
-    RankOrderCode,
-    nofm,
+    significance_rows,
     support_matvec,
     vector_norm,
 )
+from .codes import nofm_rows as nofm  # the read's top-N selection, traced by this name
 from .context import ContextState
 from .errors import NoActiveLocationError, ParameterError
 
@@ -64,6 +76,7 @@ SNAPSHOT_HEADER = struct.Struct("<4sIIIqd")  # magic, version, data_dim, W, seed
 SNAPSHOT_VERSION = 1
 _NORM_BLOCK = 512  # rows per row-major block in _row_norms
 _N_PROBES = 200  # seeded probe contexts per threshold calibration
+_PROBE_BLOCK = 25  # probe contexts per addressing call in calibration
 
 
 def _row_norms(rows: FloatVector) -> FloatVector:
@@ -81,6 +94,8 @@ def _row_norms(rows: FloatVector) -> FloatVector:
 
 
 def _check_seed(seed: int) -> None:
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)):
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**63:
         raise ParameterError(f"seed must lie in [0, 2**63), got {seed}")
 
@@ -97,13 +112,6 @@ def _random_firing(n: int, params: CodeParams, rng: np.random.Generator) -> Inde
     tile = np.tile(np.arange(params.m_total, dtype=index_type), (n, 1))
     rng.permuted(tile, axis=1, out=tile)
     return tile[:, : params.n_active].astype(np.intp)
-
-
-def _significance_rows(firing: IndexVector, params: CodeParams, order: str = "C"):
-    """Stacked significance vectors of the (n, N) firing orders."""
-    rows = np.zeros((firing.shape[0], params.m_total), order=order)
-    rows[np.arange(firing.shape[0])[:, None], firing] = params.significances
-    return rows
 
 
 @dataclass
@@ -148,45 +156,58 @@ class AddressDecoder:
     ) -> "AddressDecoder":
         _check_seed(seed)
         firing = _random_firing(n_locations, code_params, np.random.default_rng(seed))
-        rows = _significance_rows(firing, code_params, order="F")
+        rows = significance_rows(firing, code_params, order="F")
         return cls(rows, threshold, code_params, seed=seed)
 
 
 @dataclass(frozen=True)
 class ActivationPattern:
-    """Per-location contribution weights; zero below the decoder threshold.
+    """Per-location contribution weights of B chains, (B, W); zero below the threshold.
 
-    ``active`` holds the locations with a non-zero weight, ascending; it is
-    found once, when the pattern is made, and reads and writes use it.
+    ``active[b]`` holds chain b's locations with a non-zero weight,
+    ascending; they are found once, when the pattern is made, and reads and
+    writes use them.
     """
 
     weights: FloatVector
-    active: IndexVector = field(init=False, repr=False, compare=False)
+    active: list[IndexVector] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "active", (self.weights != 0.0).nonzero()[0])
+        if self.weights.ndim != 2:
+            raise ParameterError(f"weights must be (B, W), got shape {self.weights.shape}")
+        # one search per chain: cheaper than a 2-D nonzero at one chain, and
+        # reads and writes take a chain's locations without slicing them out
+        object.__setattr__(self, "active", [(w != 0.0).nonzero()[0] for w in self.weights])
 
     @property
     def n_active(self) -> int:
-        return self.active.size
+        """Active (chain, location) pairs of the whole block."""
+        return sum(a.size for a in self.active)
 
     @property
-    def total(self) -> float:
-        return float(self.weights.sum())
+    def counts(self) -> list[int]:
+        """Active locations per chain."""
+        return [a.size for a in self.active]
+
+    @property
+    def totals(self) -> FloatVector:
+        """(B,) summed weight per chain."""
+        return self.weights.sum(axis=1)
 
 
 def _address_similarity(context: ContextState, dec: AddressDecoder) -> FloatVector:
-    """Cosine of the context with every address: (W,) values in [0, 1].
+    """Cosine of each context with every address: (B, W) values in [0, 1].
 
     Raises ParameterError on an all-zero or non-finite context.
     """
     cnorm = vector_norm(context.vector)
-    if not math.isfinite(cnorm):
-        raise ParameterError("context vector is non-finite")
-    if cnorm == 0.0:
-        raise ParameterError("context vector is all-zero")
+    for x in cnorm.tolist():  # a few floats: cheaper in Python than two reductions
+        if not x < math.inf:
+            raise ParameterError("context vector is non-finite")
+        if x == 0.0:
+            raise ParameterError("context vector is all-zero")
     sims = support_matvec(dec.addresses, context.vector, context.support)
-    sims /= dec._row_norms * cnorm
+    sims /= dec._row_norms * cnorm[:, None]
     # float guards: cosine of non-negative codes lies in [0, 1], and a context
     # identical to a stored address must compare exactly equal to 1 (the
     # second line also clips the top of the range)
@@ -196,7 +217,7 @@ def _address_similarity(context: ContextState, dec: AddressDecoder) -> FloatVect
 
 
 def decode_address(context: ContextState, dec: AddressDecoder) -> ActivationPattern:
-    """Similarity of the context to every address, gated by the threshold.
+    """Similarity of each context to every address, gated by the threshold.
 
     Raises ParameterError on an all-zero or non-finite context.
     """
@@ -223,41 +244,52 @@ class CorrelationMatrix:
 def cmm_write(
     cmm: CorrelationMatrix, activation: ActivationPattern, data: FloatVector
 ) -> CorrelationMatrix:
-    """In-place max outer-product write; returns the matrix for chaining.
+    """In-place max outer-product write of each chain's data row; returns the matrix.
 
-    Only the block data support x active locations is read and written:
-    outside it the outer product is zero and the non-negative matrix keeps
-    its value under the max.
+    ``data`` holds one row per chain of the activation. For each chain only
+    the block data support x active locations is read and written: outside
+    it the outer product is zero and the non-negative matrix keeps its
+    value under the max.
     """
     data = np.asarray(data, dtype=np.float64)
     weights = activation.weights
-    if cmm.w.shape != (data.size, weights.size):
+    if data.ndim != 2 or cmm.w.shape != (data.shape[1], weights.shape[1]) or (
+        data.shape[0] != weights.shape[0]
+    ):
         raise ParameterError(
-            f"matrix is {cmm.w.shape}, write is ({data.size}, {weights.size})"
+            f"matrix is {cmm.w.shape}, write is {data.shape} data x {weights.shape} weights"
         )
-    rows = (data != 0.0).nonzero()[0]
-    cols = activation.active
-    block = (rows[:, None], cols)
-    cmm.w[block] = np.maximum(cmm.w[block], np.outer(data[rows], weights[cols]))
+    for b, cols in enumerate(activation.active):
+        if not cols.size:
+            continue
+        rows = (data[b] != 0.0).nonzero()[0]
+        block = (rows[:, None], cols)
+        cmm.w[block] = np.maximum(cmm.w[block], np.outer(data[b][rows], weights[b][cols]))
     return cmm
 
 
 def cmm_read(
     cmm: CorrelationMatrix, activation: ActivationPattern, params: CodeParams
-) -> tuple[RankOrderCode, float]:
-    """Read through the active locations and re-impose the N-of-M structure.
+) -> tuple[IndexVector, FloatVector]:
+    """Read each chain through its active locations and re-impose the N-of-M structure.
 
-    Returns (code, confidence). Confidence is the summed activation weight,
-    forced to 0.0 when the readout is all-zero (nothing stored where we
-    looked); an all-zero activation raises NoActiveLocationError, and
-    params whose M is not the matrix's row count a ParameterError.
+    Returns ((B, N) firing orders, (B,) confidences). A confidence is the
+    chain's summed activation weight, forced to 0.0 when its readout is
+    all-zero (nothing stored where it looked); a chain with no active
+    location raises NoActiveLocationError, and params whose M is not the
+    matrix's row count a ParameterError.
     """
-    if activation.n_active == 0:
-        raise NoActiveLocationError("no address-decoder location is active")
-    readout = support_matvec(cmm.w, activation.weights, activation.active)
+    weights = activation.weights
+    if weights.shape[1] != cmm.w.shape[1]:
+        raise ParameterError(f"matrix is {cmm.w.shape}, activation is {weights.shape}")
+    readout = np.empty((weights.shape[0], cmm.w.shape[0]))
+    for b, cols in enumerate(activation.active):
+        if not cols.size:
+            raise NoActiveLocationError("no address-decoder location is active")
+        readout[b] = cmm.w[:, cols] @ weights[b][cols]
     # the sum over all W weights, not only the active ones: another summation
     # order would move the last ulp of the confidence
-    confidence = activation.total if readout.any() else 0.0
+    confidence = np.where(readout.any(axis=1), activation.totals, 0.0)
     return nofm(readout, params), confidence
 
 
@@ -265,18 +297,19 @@ def calibrate_threshold(dec: AddressDecoder, target_active: int, seed: int) -> f
     """Pick a threshold so random contexts activate ~target_active locations.
 
     Uses the median over seeded probe contexts of the target_active-th
-    largest address similarity, computed by the function addressing uses,
-    so the levels it ranks are those addressing reproduces exactly. The
-    decoder's own threshold is not read.
+    largest address similarity, computed by the function addressing uses
+    on blocks of probes, so the levels it ranks are those addressing
+    reproduces exactly. The decoder's own threshold is not read.
     """
     if not 1 <= target_active <= dec.n_locations:
         raise ParameterError(f"target_active out of range: {target_active}")
     firing = _random_firing(_N_PROBES, dec.code_params, np.random.default_rng(seed))
-    probes = _significance_rows(firing, dec.code_params)
+    probes = ContextState(significance_rows(firing, dec.code_params), np.sort(firing, axis=1))
     kth = np.empty(_N_PROBES)
-    for i, (c, support) in enumerate(zip(probes, np.sort(firing, axis=1))):
-        sims = _address_similarity(ContextState(c, support), dec)
-        kth[i] = np.partition(sims, -target_active)[-target_active]
+    for i in range(0, _N_PROBES, _PROBE_BLOCK):
+        sims = _address_similarity(probes.take(slice(i, i + _PROBE_BLOCK)), dec)
+        sims.partition(-target_active, axis=1)
+        kth[i : i + _PROBE_BLOCK] = sims[:, -target_active]
     return float(np.median(kth))
 
 

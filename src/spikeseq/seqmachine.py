@@ -9,16 +9,29 @@ Recall is autoregressive: the decoded symbol's clean code is fed back,
 and a retrieval with no active location or zero confidence halts with a
 reason instead of emitting garbage.
 
+The engine runs chains in lockstep. ``learn_sequences`` and
+``recall_sequences`` advance a block of B chains, one per sequence or cue,
+by one step per call of each kernel (context update, addressing, write or
+read, decode), each kernel taking the block along a leading axis. A chain
+drops out of the block when its sequence ends (learn) or when it halts
+(recall), and the others go on. ``learn_sequence`` and ``recall_sequence``
+run a block of one. The max write rule is commutative and idempotent and
+recall only reads, so any grouping of chains into blocks gives the same
+memory and the same recalls, bit for bit.
+
 Every code on the step path carries its ascending support: the codebook
-caches each codeword's, the context state holds the one its update
+caches each codeword's, the context state holds the ones its update
 produced, and an activation pattern the locations it found active. The
-context state is a value that ``learn_sequence`` and ``recall_sequence``
-keep in a local variable; a machine holds its configuration and its
-memory, no state of a run.
+machine builds the input term of every codeword once, at construction
+(:func:`~spikeseq.context.input_terms`), and an update adds the row of
+each chain's symbol. The context state is a value that the learn and
+recall functions keep in a local variable; a machine holds its
+configuration and its memory, no state of a run.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -30,12 +43,14 @@ from .codes import (
     IndexVector,
     RankOrderCode,
     random_code,
+    significance_rows,
     to_significance,
     vector_norm,
 )
-from .context import ContextConfig, ContextState, update_context
-from .errors import AlphabetError, DegenerateInputError, NoActiveLocationError, ParameterError
+from .context import ContextConfig, ContextState, input_terms, update_context
+from .errors import AlphabetError, DegenerateInputError, ParameterError
 from .sdm import (
+    ActivationPattern,
     AddressDecoder,
     CorrelationMatrix,
     calibrate_threshold,
@@ -52,7 +67,9 @@ __all__ = [
     "encode_symbol",
     "decode_burst",
     "learn_sequence",
+    "learn_sequences",
     "recall_sequence",
+    "recall_sequences",
     "capacity_experiment",
 ]
 
@@ -64,7 +81,7 @@ class Codebook:
     code_params: CodeParams
     codes: list[RankOrderCode]
     encode_matrix: FloatVector = field(init=False)  # (A, M) stacked significances
-    supports: list[IndexVector] = field(init=False, repr=False)  # ascending, per code
+    supports: IndexVector = field(init=False, repr=False)  # (A, N) ascending, per code
     _row_norms: FloatVector = field(init=False, repr=False)  # (A,) norms of encode_matrix
 
     def __post_init__(self) -> None:
@@ -74,7 +91,7 @@ class Codebook:
         if len(orders) != len(self.codes):
             raise ParameterError("codebook codes must be pairwise distinct")
         self.encode_matrix = np.stack([to_significance(c) for c in self.codes])
-        self.supports = [c.support for c in self.codes]
+        self.supports = np.stack([c.support for c in self.codes])
         self._row_norms = np.linalg.norm(self.encode_matrix, axis=1)
 
     @property
@@ -107,27 +124,35 @@ def encode_symbol(cb: Codebook, symbol: int) -> FloatVector:
     return cb.encode_matrix[symbol].copy()
 
 
-def decode_burst(cb: Codebook, burst: FloatVector) -> tuple[int, float]:
-    """Winner-take-all read-out against the transposed codebook.
+def decode_burst(cb: Codebook, bursts: FloatVector) -> tuple[IndexVector, FloatVector]:
+    """Winner-take-all read-out of each burst row against the transposed codebook.
 
-    Scores every symbol by cosine similarity to the burst; returns
-    (symbol, margin) where margin is best minus second-best score and
-    ties fall to the lower symbol index. Raises ParameterError on a
-    non-finite burst and DegenerateInputError on an all-zero one.
+    Scores every symbol by cosine similarity to each of the (B, M) bursts;
+    returns (symbols, margins), each (B,), where a margin is best minus
+    second-best score and ties fall to the lower symbol index. Raises
+    ParameterError on a non-finite burst and DegenerateInputError on an
+    all-zero one.
     """
-    burst = np.asarray(burst, dtype=np.float64)
-    bnorm = vector_norm(burst)
-    if not math.isfinite(bnorm):
-        raise ParameterError("burst is non-finite")
-    if bnorm == 0.0:
-        raise DegenerateInputError("cannot decode an all-zero burst")
-    scores = (cb.encode_matrix @ burst) / (cb._row_norms * bnorm)
-    best = int(scores.argmax())
-    top = float(scores[best])
-    if cb.alphabet_size == 1:
-        return best, top
-    scores[best] = -np.inf  # the largest of the rest is the second-best score
-    return best, top - float(scores.max())
+    bursts = np.asarray(bursts, dtype=np.float64)
+    if bursts.ndim != 2 or bursts.shape[1] != cb.encode_matrix.shape[1]:
+        raise ParameterError(
+            f"bursts have shape {bursts.shape}, expected rows of length {cb.encode_matrix.shape[1]}"
+        )
+    bnorm = vector_norm(bursts)
+    for x in bnorm.tolist():  # a few floats: cheaper in Python than two reductions
+        if not x < math.inf:
+            raise ParameterError("burst is non-finite")
+        if x == 0.0:
+            raise DegenerateInputError("cannot decode an all-zero burst")
+    scores = np.matvec(cb.encode_matrix, bursts) / (cb._row_norms * bnorm[:, None])
+    best = scores.argmax(axis=1)
+    a = cb.alphabet_size
+    if a == 1:
+        return best, scores[:, 0]
+    # partitioned in place, the largest score lands last and the second-best
+    # just before it
+    scores.partition(a - 2, axis=1)
+    return best, scores[:, a - 1] - scores[:, a - 2]
 
 
 @dataclass(frozen=True)
@@ -151,9 +176,10 @@ class SequenceMachine:
     """One-shot sequence store built from the module primitives.
 
     All randomness (codebook, projections, addresses and the probe contexts
-    of threshold calibration) is derived from a single seed in [0, 2**63),
-    so identical seeds and inputs give bit-identical behaviour. Runs start
-    from the empty history, so a full gate (``lambda_gate`` 1) is rejected.
+    of threshold calibration) is derived from a single integer seed in
+    [0, 2**63), so identical seeds and inputs give bit-identical behaviour.
+    Runs start from the empty history, so a full gate (``lambda_gate`` 1) is
+    rejected. ``input_table`` holds the input term of every codeword, (A, M).
     """
 
     def __init__(
@@ -173,8 +199,8 @@ class SequenceMachine:
                 "empty start history has no drive"
             )
         self.params = CodeParams(m_total, n_active, alpha)
-        # the decoder draws from the seed itself and rejects one outside
-        # [0, 2**63) before SeedSequence sees it
+        # the decoder draws from the seed itself and rejects one that is not an
+        # integer in [0, 2**63) before SeedSequence sees it
         self.decoder = AddressDecoder.random(n_locations, self.params, 0.0, seed=seed)
         ss = np.random.SeedSequence(seed).spawn(3)
         self.codebook = Codebook.random(
@@ -183,62 +209,142 @@ class SequenceMachine:
         self.context_cfg = ContextConfig.random(
             lambda_gate, self.params, np.random.default_rng(ss[1])
         )
+        self.input_table = input_terms(
+            self.codebook.encode_matrix, self.codebook.supports, self.context_cfg
+        )
         self.decoder.threshold = calibrate_threshold(
             self.decoder, target_active, seed=int(ss[2].generate_state(1)[0])
         )
         self.memory = CorrelationMatrix.zeros(m_total, n_locations)
 
 
-def _feed_symbol(m: SequenceMachine, state: ContextState, symbol: int) -> ContextState:
-    """The context after feeding the symbol's codeword."""
-    cb = m.codebook
-    return update_context(state, encode_symbol(cb, symbol), cb.supports[symbol], m.context_cfg)
+def _symbol_block(m: SequenceMachine, seqs: list[list[int]]) -> IndexVector:
+    """The sequences as the rows of a (B, L) index block, zero-padded to the longest.
+
+    Python and numpy integers in the alphabet pass; anything else,
+    ``bool`` included, raises AlphabetError.
+    """
+    kinds = set()
+    for seq in seqs:
+        kinds.update(map(type, seq))
+    for kind in kinds:
+        if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
+            bad = next(x for seq in seqs for x in seq if type(x) is kind)
+            raise AlphabetError(f"symbol {bad!r} is not an integer")
+    size = m.codebook.alphabet_size
+    for seq in seqs:
+        if len(seq) and not (0 <= min(seq) and max(seq) < size):
+            bad = next(x for x in seq if not 0 <= x < size)
+            raise AlphabetError(f"symbol {bad} outside alphabet of size {size}")
+    block = np.zeros((len(seqs), max(map(len, seqs), default=0)), dtype=np.intp)
+    for row, seq in zip(block, seqs):
+        row[: len(seq)] = seq
+    return block
+
+
+def learn_sequences(m: SequenceMachine, seqs: list[list[int]]) -> SequenceMachine:
+    """One one-shot pass over each sequence, all in lockstep.
+
+    Chain b stores ``seqs[b][t + 1]`` at the context that ``seqs[b][:t + 1]``
+    reaches from the empty history (``ContextState.start``); it drops out
+    when its sequence ends. Sequences may have any lengths: empty or
+    length-1 sequences leave the memory untouched. The memory is the one
+    that learning the sequences one by one leaves, bit for bit.
+    """
+    # longest first, so that the chains still running form a leading slice
+    seqs = sorted(seqs, key=len, reverse=True)
+    symbols = _symbol_block(m, seqs)
+    negated = [-len(seq) for seq in seqs]  # ascending
+    # running[t - 1]: how many chains have a symbol at position t
+    running = [bisect.bisect_left(negated, -t) for t in range(1, symbols.shape[1])]
+    state = ContextState.start(m.params.m_total, running[0] if running else 0)
+    for t, k in enumerate(running):
+        if k < state.batch:
+            state = state.take(slice(k))
+        state = update_context(state, m.input_table[symbols[:k, t]], m.context_cfg)
+        act = decode_address(state, m.decoder)
+        if act.n_active:
+            cmm_write(m.memory, act, m.codebook.encode_matrix[symbols[:k, t + 1]])
+    return m
 
 
 def learn_sequence(m: SequenceMachine, symbols: list[int]) -> SequenceMachine:
     """Single one-shot pass storing each next-symbol at its context address.
 
-    Each pass starts from the empty history (``ContextState.start``).
-    Empty or length-1 sequences leave the memory untouched.
+    ``learn_sequences`` on a block of one sequence.
     """
-    for s in symbols:
-        if not 0 <= s < m.codebook.alphabet_size:
-            raise AlphabetError(f"symbol {s} outside alphabet")
-    state = ContextState.start(m.params.m_total)
-    for prev, nxt in zip(symbols, symbols[1:]):
-        state = _feed_symbol(m, state, prev)
+    return learn_sequences(m, [symbols])
+
+
+def recall_sequences(
+    m: SequenceMachine, cues: list[list[int]], steps: int
+) -> list[RecallResult]:
+    """Prime one chain per cue, then predict autoregressively in lockstep.
+
+    The cues share one length of at least one symbol. Each chain predicts
+    up to ``steps`` symbols; a retrieval failure (no active location, zero
+    confidence) ends its run with a halt reason and drops it from the
+    block. Result b is the one ``recall_sequence(m, cues[b], steps)``
+    returns, bit for bit.
+    """
+    if isinstance(steps, (bool, np.bool_)) or not isinstance(steps, (int, np.integer)):
+        raise ParameterError(f"steps must be an integer, got {steps!r}")
+    if steps < 0:
+        raise ParameterError("steps must be non-negative")
+    if not cues:
+        return []
+    if len({len(c) for c in cues}) > 1:
+        raise ParameterError("recall cues must share one length")
+    if any(len(c) == 0 for c in cues):
+        raise ParameterError("recall needs at least one seed symbol")
+    symbols = _symbol_block(m, cues)
+    state = ContextState.start(m.params.m_total, len(cues))
+    for column in symbols.T:
+        state = update_context(state, m.input_table[column], m.context_cfg)
+    out: list[list[RecallStep]] = [[] for _ in cues]
+    halts: list[str | None] = [None] * len(cues)
+    live = list(range(len(cues)))  # the chain of each row of the block
+    for step in range(steps):
         act = decode_address(state, m.decoder)
-        if act.n_active:
-            cmm_write(m.memory, act, encode_symbol(m.codebook, nxt))
-    return m
+        counts = act.counts
+        if 0 in counts:
+            keep = [c > 0 for c in counts]
+            live = _drop(live, keep, halts, "no active memory location")
+            state, act = state.take(keep), ActivationPattern(act.weights[keep])
+            if not live:
+                break
+        firing, confidence = cmm_read(m.memory, act, m.params)
+        conf = confidence.tolist()
+        if 0.0 in conf:
+            keep = [c != 0.0 for c in conf]
+            live = _drop(live, keep, halts, "confidence 0 too low")
+            state, firing = state.take(keep), firing[keep]
+            conf = [c for c in conf if c != 0.0]
+            if not live:
+                break
+        symbol, margin = decode_burst(m.codebook, significance_rows(firing, m.params))
+        for b, s, mg, c in zip(live, symbol.tolist(), margin.tolist(), conf):
+            out[b].append(RecallStep(s, mg, c))
+        if step + 1 < steps:
+            state = update_context(state, m.input_table[symbol], m.context_cfg)
+    return [RecallResult(o, h) for o, h in zip(out, halts)]
+
+
+def _drop(live: list[int], keep: list[bool], halts: list, reason: str) -> list[int]:
+    """The chains that ``keep`` keeps; the others halt for ``reason``."""
+    for b, k in zip(live, keep):
+        if not k:
+            halts[b] = reason
+    return [b for b, k in zip(live, keep) if k]
 
 
 def recall_sequence(m: SequenceMachine, seed_symbols: list[int], steps: int) -> RecallResult:
     """Prime the context with seed symbols, then predict autoregressively.
 
-    Retrieval failures (no active location, zero confidence) end the run
-    with a halt reason.
+    ``recall_sequences`` on a block of one cue. Retrieval failures (no
+    active location, zero confidence) end the run with a halt reason.
     """
-    if not seed_symbols:
-        raise ParameterError("recall needs at least one seed symbol")
-    if steps < 0:
-        raise ParameterError("steps must be non-negative")
-    state = ContextState.start(m.params.m_total)
-    for s in seed_symbols:
-        state = _feed_symbol(m, state, s)
-    out: list[RecallStep] = []
-    for _ in range(steps):
-        act = decode_address(state, m.decoder)
-        try:
-            code, confidence = cmm_read(m.memory, act, m.params)
-        except NoActiveLocationError:
-            return RecallResult(out, halt_reason="no active memory location")
-        if confidence == 0.0:
-            return RecallResult(out, halt_reason="confidence 0 too low")
-        symbol, margin = decode_burst(m.codebook, to_significance(code))
-        out.append(RecallStep(symbol, margin, confidence))
-        state = _feed_symbol(m, state, symbol)
-    return RecallResult(out)
+    return recall_sequences(m, [seed_symbols], steps)[0]
 
 
 def sample_sequences(
@@ -275,12 +381,14 @@ def capacity_experiment(
     """Per-seed symbol-exact recall accuracy for one-shot stored sequences.
 
     Each seed builds a fresh machine, stores n_sequences random sequences
-    once, then recalls each from its first symbol and scores the predicted
-    continuation symbol-by-symbol, so it needs at least one sequence of two
-    or more symbols.
+    once in lockstep, then recalls all of them in lockstep, each from its
+    first symbol, and scores the predicted continuation symbol-by-symbol,
+    so it needs at least one seed and one sequence of two or more symbols.
     """
     if n_sequences < 1 or length < 2:
         raise ParameterError(f"nothing to score with {n_sequences} sequences of length {length}")
+    if n_seeds < 1:
+        raise ParameterError(f"need at least one seed, got n_seeds={n_seeds}")
     accuracies = []
     for k in range(n_seeds):
         seed = base_seed + k
@@ -295,11 +403,10 @@ def capacity_experiment(
         seqs = sample_sequences(
             np.random.default_rng(seed + 10_000), n_sequences, length, alphabet_size
         )
-        for s in seqs:
-            learn_sequence(machine, s)
+        learn_sequences(machine, seqs)
+        results = recall_sequences(machine, [s[:1] for s in seqs], length - 1)
         correct = total = 0
-        for s in seqs:
-            result = recall_sequence(machine, [s[0]], length - 1)
+        for s, result in zip(seqs, results):
             got = result.symbols
             for i, want in enumerate(s[1:]):
                 total += 1

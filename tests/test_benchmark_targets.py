@@ -49,3 +49,28 @@ def test_traced_probes_run_on_every_layer(monkeypatch):
     assert counts["codes.nofm.calls"] > 0 and counts["posenc.gram_matrix.calls"] > 0
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_traced_probes_run_on_lockstep_blocks(monkeypatch):
+    # learn_sequences and recall_sequences call every engine kernel on a block
+    # of chains; the probes must take block-shaped arguments and results
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import spans
+
+    from spikeseq import seqmachine
+
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr in spans.wrapped_attributes()]
+    tracer = spans.Tracer()
+    with tracer.installed(counting=True):
+        m = seqmachine.SequenceMachine(seed=2)
+        seqs = seqmachine.sample_sequences(np.random.default_rng(2), 5, 6, 26)
+        seqmachine.learn_sequences(m, seqs)
+        results = seqmachine.recall_sequences(m, [s[:1] for s in seqs], 5)
+    assert len(results) == 5
+    counts = tracer.counts
+    assert counts["active_locations"] > 0 and counts["write_products"] > 0
+    for layer in ("context.update", "sdm.decode_address", "sdm.cmm_write", "sdm.cmm_read",
+                  "codes.nofm", "seqmachine.decode_burst"):
+        assert counts[layer + ".calls"] > 0, layer
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"

@@ -10,13 +10,25 @@ margins, confidences and halt reasons.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikeseq.errors import DegenerateInputError, ParameterError
-from spikeseq.seqmachine import SequenceMachine, learn_sequence, recall_sequence, sample_sequences
+from spikeseq.sdm import CorrelationMatrix
+from spikeseq.seqmachine import (
+    SequenceMachine,
+    capacity_experiment,
+    learn_sequence,
+    learn_sequences,
+    recall_sequence,
+    recall_sequences,
+    sample_sequences,
+)
 
 # ---------------------------------------------------------------- reference
 
@@ -202,3 +214,84 @@ def test_full_gate_raises_like_reference():
     outcomes = [_outcome(ref.learn, s) for s in seqs]
     outcomes += [_outcome(ref.recall, s[:k], 6 - k) for s in seqs for k in range(1, 6)]
     assert set(outcomes) == {DegenerateInputError}
+
+
+# ---------------------------------------------------------------- lockstep
+
+
+@functools.cache
+def _machine(n_locations, lambda_gate, target_active):
+    return SequenceMachine(
+        n_locations=n_locations, lambda_gate=lambda_gate, target_active=target_active, seed=5
+    )
+
+
+_symbols = st.integers(0, 25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # the last geometry activates ~2 locations, so that chains also halt for
+    # want of an active location
+    geometry=st.sampled_from([(512, 0.7, 16), (4096, 0.7, 16), (512, 0.0, 16), (512, 0.7, 2)]),
+    data=st.data(),
+)
+def test_lockstep_blocks_match_the_reference_step(geometry, data):
+    # B chains per kernel call, any lengths (0 and 1 included), repeated
+    # sequences that write the same cells in one step, and cues that halt at
+    # different steps: memory bytes and every recall equal the serial
+    # reference bit for bit
+    m = _machine(*geometry)
+    m.memory = CorrelationMatrix.zeros(*m.memory.w.shape)
+    ref = _Reference(m)
+    seqs = data.draw(st.lists(st.lists(_symbols, max_size=12), min_size=1, max_size=28))
+    seqs += data.draw(st.lists(st.sampled_from(seqs), max_size=4))
+    learn_sequences(m, seqs)
+    for s in seqs:
+        ref.learn(s)
+    assert m.memory.w.tobytes() == ref.w.tobytes()
+
+    width = data.draw(st.integers(1, 3))
+    stored = [s[:width] for s in seqs if len(s) >= width]
+    drawn = st.lists(_symbols, min_size=width, max_size=width)
+    cues = data.draw(st.lists(st.one_of(drawn, st.sampled_from(stored)) if stored else drawn,
+                              min_size=1, max_size=32))
+    steps = data.draw(st.integers(0, 10))
+    for cue, result in zip(cues, recall_sequences(m, cues, steps), strict=True):
+        got = [(r.symbol, r.margin, r.confidence) for r in result.steps], result.halt_reason
+        assert got == ref.recall(cue, steps)  # exact float equality
+
+
+def test_lockstep_chains_halt_at_different_steps():
+    # a sparse memory: most chains leave the stored trajectories and halt
+    m = SequenceMachine(n_locations=4096, target_active=4, seed=6)
+    ref = _Reference(m)
+    seqs = sample_sequences(np.random.default_rng(6), 3, 10, 26)
+    learn_sequences(m, seqs)
+    for s in seqs:
+        ref.learn(s)
+    cues = [s[:2] for s in seqs] + [[k, (7 * k) % 26] for k in range(26)]
+    results = recall_sequences(m, cues, 9)
+    for cue, result in zip(cues, results):
+        got = [(r.symbol, r.margin, r.confidence) for r in result.steps], result.halt_reason
+        assert got == ref.recall(cue, 9)
+    halted_at = {len(r.steps) for r in results if r.halt_reason is not None}
+    assert len(halted_at) >= 3 and any(r.halt_reason is None for r in results)
+    assert {r.halt_reason for r in results} == {
+        None, "confidence 0 too low", "no active memory location"
+    }
+
+
+@pytest.mark.parametrize("base_seed", [0, 11, 40])
+def test_capacity_experiment_matches_a_serial_reference(base_seed):
+    accuracies = capacity_experiment(n_seeds=2, base_seed=base_seed)
+    for k, accuracy in enumerate(accuracies):
+        ref = _Reference(SequenceMachine(seed=base_seed + k))
+        seqs = sample_sequences(np.random.default_rng(base_seed + k + 10_000), 20, 8, 26)
+        for s in seqs:
+            ref.learn(s)
+        correct = 0
+        for s in seqs:
+            got = [step[0] for step in ref.recall(s[:1], 7)[0]]
+            correct += sum(a == b for a, b in zip(got, s[1:]))
+        assert accuracy == correct / (20 * 7)

@@ -259,7 +259,7 @@ def test_support_matvec_matches_dense_product(shape, fortran, data):
         matrix = np.asfortranarray(matrix)
     # mostly zeros, like an N-of-M code
     v = data.draw(arrays(np.float64, shape[1], elements=st.one_of(st.just(0.0), _entries)))
-    got = support_matvec(matrix, v, np.flatnonzero(v))
+    got = support_matvec(matrix, v[None], np.flatnonzero(v)[None])[0]
     # the two sums differ only in order: bound the error by the absolute sum,
     # plus the smallest normal float for products that underflow
     bound = 1e-12 * (np.abs(matrix) @ np.abs(v)) + np.finfo(np.float64).tiny
@@ -269,9 +269,9 @@ def test_support_matvec_matches_dense_product(shape, fortran, data):
 def test_support_matvec_zero_vector_and_shape_check():
     matrix = np.arange(6.0).reshape(2, 3)
     empty = np.zeros(0, dtype=np.intp)
-    assert np.array_equal(support_matvec(matrix, np.zeros(3), empty), np.zeros(2))
+    assert np.array_equal(support_matvec(matrix, np.zeros((1, 3)), empty[None]), np.zeros((1, 2)))
     with pytest.raises(ParameterError):
-        support_matvec(matrix, np.ones(2), np.arange(2))
+        support_matvec(matrix, np.ones((1, 2)), np.arange(2)[None])
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from spikeseq.codes import CodeParams, is_canonical, random_code, to_significance
-from spikeseq.context import ContextConfig, ContextState, random_projection, update_context
+from spikeseq.context import (
+    ContextConfig,
+    ContextState,
+    input_terms,
+    random_projection,
+    update_context,
+)
 from spikeseq.errors import DegenerateInputError, ParameterError
 
 
@@ -13,13 +19,16 @@ def _identity_cfg(lam, m=4, n=2, alpha=0.5):
 
 
 def _state(vector):
+    """A block of one chain whose context is the vector."""
     vector = np.array(vector)
-    return ContextState(vector, np.flatnonzero(vector))
+    return ContextState(vector[None], np.flatnonzero(vector)[None])
 
 
 def _update(prev, input_vec, cfg):
-    """update_context given the input's support."""
-    return update_context(prev, input_vec, np.flatnonzero(input_vec), cfg)
+    """update_context of a block of one chain, given the input vector."""
+    input_vec = np.asarray(input_vec)
+    terms = input_terms(input_vec[None], np.flatnonzero(input_vec)[None], cfg)
+    return update_context(prev, terms, cfg)
 
 
 def test_hand_case_tie_and_canonical_reassignment():
@@ -27,8 +36,8 @@ def test_hand_case_tie_and_canonical_reassignment():
     prev = _state([1.0, 0.5, 0.0, 0.0])
     new = _update(prev, np.array([0.0, 0.0, 1.0, 0.5]), cfg)
     # blend = [0.4472, 0.2236, 0.4472, 0.2236]; tie {0, 2} -> order (0, 2)
-    assert np.array_equal(new.vector, [1.0, 0.0, 0.5, 0.0])
-    assert new.support.tolist() == [0, 2]
+    assert np.array_equal(new.vector, [[1.0, 0.0, 0.5, 0.0]])
+    assert new.support.tolist() == [[0, 2]]
 
 
 def test_start_state_is_empty_and_updates_carry_their_support():
@@ -36,17 +45,18 @@ def test_start_state_is_empty_and_updates_carry_their_support():
     p = CodeParams(m, n, 0.9)
     rng = np.random.default_rng(4)
     cfg = ContextConfig.random(0.6, p, rng)
-    state = ContextState.start(m)
+    state = ContextState.start(m, 1)
     assert not state.vector.any() and state.support.size == 0
     for _ in range(20):
         code = random_code(p, rng)
-        state = update_context(state, to_significance(code), code.support, cfg)
+        terms = input_terms(to_significance(code)[None], code.support[None], cfg)
+        state = update_context(state, terms, cfg)
         assert state.support.dtype == np.intp
-        assert np.array_equal(state.support, np.flatnonzero(state.vector))
+        assert np.array_equal(state.support[0], np.flatnonzero(state.vector[0]))
     code = random_code(p, rng)
     from_code = ContextState.from_code(code)
-    assert np.array_equal(from_code.vector, to_significance(code))
-    assert np.array_equal(from_code.support, np.flatnonzero(from_code.vector))
+    assert np.array_equal(from_code.vector[0], to_significance(code))
+    assert np.array_equal(from_code.support[0], np.flatnonzero(from_code.vector[0]))
 
 
 def test_gate_boundary_lambda_zero_ignores_history():
@@ -82,7 +92,7 @@ def test_output_always_canonical():
     state = ContextState.from_code(random_code(p, rng))
     for _ in range(50):
         state = _update(state, to_significance(random_code(p, rng)), cfg)
-        assert is_canonical(state.vector, p)
+        assert is_canonical(state.vector[0], p)
 
 
 def test_histories_diverge_with_positive_gate():
@@ -123,7 +133,9 @@ def test_config_validation():
         ContextConfig(0.5, np.eye(3), np.eye(4), p)
     cfg = _identity_cfg(0.5)
     with pytest.raises(ParameterError):
-        _update(ContextState.start(4), np.zeros(3), cfg)
+        _update(ContextState.start(4, 1), np.zeros(3), cfg)
+    with pytest.raises(ParameterError, match="input terms"):
+        update_context(ContextState.start(4, 2), np.zeros((1, 4)), cfg)
 
 
 def test_non_finite_input_rejected():

@@ -209,6 +209,20 @@ def test_rank_checks_peak_memory(check):
     assert peak <= 6 * 1024 * 1024 * 8
 
 
+def test_verify_isomorphism_peak_memory():
+    # the two (L, L) float64 grams take 16 MiB at L=1024; the relative error
+    # works in two more gram-sized arrays in place, where three temporaries at
+    # once and two np.triu_indices builds passed 48 MiB
+    p = PosEncParams(1024, 64)
+    tracemalloc.start()
+    try:
+        verify_isomorphism(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45 * 1024 * 1024
+
+
 def test_freq_compressed_breaks_rank_order():
     q = rank_counterexample(sinusoidal_pe(P128), freq_compressed_pe(P128))
     assert q is not None

@@ -5,6 +5,10 @@ argsorted whole, every query row was ranked by scipy, and each distance
 was read through a fancy-index copy. The row-block checks must return
 exactly what they return: every report field compares with ``==`` and
 every counterexample query is the same, NaN included.
+
+``_ref_verify_isomorphism`` is ``verify_isomorphism`` as it was when the
+relative error held three (L, L) temporaries and the off-diagonals were
+read through ``np.triu_indices``; its report must compare ``==``.
 """
 
 import math
@@ -16,7 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from spikeseq.errors import ParameterError
 from spikeseq.posenc import (
+    IsomorphismReport,
     PosEncParams,
     RankInvarianceReport,
     _rank_invariance,
@@ -27,7 +33,9 @@ from spikeseq.posenc import (
     lemma1_rank_invariance,
     rank_counterexample,
     sinusoidal_pe,
+    spike_latency,
     spike_timing_pe,
+    verify_isomorphism,
 )
 
 # ---------------------------------------------------------------- reference
@@ -81,6 +89,36 @@ def _ref_distance_profile(e):
         idx = np.arange(L - delta)
         out.append((delta, float(np.mean(g[idx, idx + delta]))))
     return out
+
+
+def _offdiag(g):
+    iu = np.triu_indices(g.shape[0], k=1)
+    return g[iu]
+
+
+def _ref_verify_isomorphism(p):
+    if p.seq_len < 3:
+        raise ParameterError(
+            f"verify_isomorphism needs at least 3 positions, got seq_len={p.seq_len}"
+        )
+    pos = np.arange(p.seq_len, dtype=np.float64)
+    phase = np.outer(pos, p.frequencies)
+    phase_spike = np.outer(spike_latency(p, pos), p.frequencies)
+    # residual of the pairwise identity; differences over pairs reduce to
+    # per-band ranges of r = phase - (L/T) * phase_spike
+    r = phase - (p.seq_len / p.window) * phase_spike
+    max_abs_residual = float(np.max(r.max(axis=0) - r.min(axis=0)))
+
+    scale = (p.window / p.seq_len) ** 2
+    g_pe = gram_matrix(sinusoidal_pe(p))
+    g_stpe = gram_matrix(spike_timing_pe(p))
+    denom = np.maximum(np.abs(scale * g_pe), 1e-300)
+    max_gram_rel_error = float(np.max(np.abs(g_stpe - scale * g_pe) / denom))
+
+    x, y = _offdiag(g_pe), _offdiag(g_stpe)
+    pearson = float(stats.pearsonr(x, y).statistic)
+    spearman = _spearman(x, y)
+    return IsomorphismReport(max_abs_residual, max_gram_rel_error, pearson, spearman, scale)
 
 
 # ---------------------------------------------------------------- comparison
@@ -218,3 +256,10 @@ def test_rank_checks_match_reference_past_the_first_block():
     assert rank_counterexample(a, b) == _ref_rank_counterexample(a, b) == 200
     g_a, g_b = gram_matrix(a), gram_matrix(b)
     _assert_same_report(_rank_invariance(g_a, g_b), _ref_rank_invariance(g_a, g_b))
+
+
+@pytest.mark.parametrize("L", [3, 16, 129, 300, 1024])
+@pytest.mark.parametrize("T", [1.0, 0.75])
+def test_verify_isomorphism_matches_reference(L, T):
+    p = PosEncParams(L, 64, window=T)
+    assert verify_isomorphism(p) == _ref_verify_isomorphism(p)

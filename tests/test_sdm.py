@@ -31,8 +31,8 @@ def _decoder(seed=0, w=8, m=16, n=4, theta=0.5):
 
 
 def _decode(ctx, dec):
-    """decode_address of a context vector, given its support."""
-    return decode_address(ContextState(ctx, np.flatnonzero(ctx)), dec)
+    """decode_address of a block of one context vector, given its support."""
+    return decode_address(ContextState(ctx[None], np.flatnonzero(ctx)[None]), dec)
 
 
 def test_decode_matches_bruteforce_scan():
@@ -43,9 +43,9 @@ def test_decode_matches_bruteforce_scan():
     for k in range(dec.n_locations):
         sim = cosine_sim(ctx, dec.addresses[k])
         if sim >= dec.threshold:
-            assert act.weights[k] == pytest.approx(sim, abs=1e-12)
+            assert act.weights[0, k] == pytest.approx(sim, abs=1e-12)
         else:
-            assert act.weights[k] == 0.0
+            assert act.weights[0, k] == 0.0
 
 
 def test_zero_threshold_activates_everything():
@@ -54,14 +54,14 @@ def test_zero_threshold_activates_everything():
     ctx = to_significance(random_code(dec.code_params, rng))
     act = _decode(ctx, dec)
     raw = np.array([cosine_sim(ctx, dec.addresses[k]) for k in range(dec.n_locations)])
-    assert np.allclose(act.weights, raw, atol=1e-12)
+    assert np.allclose(act.weights[0], raw, atol=1e-12)
 
 
 def test_unit_threshold_hits_only_identical_address():
     dec = _decoder(seed=3, theta=1.0)
     ctx = dec.addresses[5].copy()
     act = _decode(ctx, dec)
-    assert act.weights[5] == pytest.approx(1.0, abs=1e-12)
+    assert act.weights[0, 5] == pytest.approx(1.0, abs=1e-12)
     assert act.n_active == 1
 
 
@@ -69,8 +69,8 @@ def test_write_idempotent_and_monotone():
     rng = np.random.default_rng(0)
     p = CodeParams(16, 4, 0.9)
     cmm = CorrelationMatrix.zeros(16, 8)
-    act = ActivationPattern(rng.uniform(size=8))
-    data = to_significance(random_code(p, rng))
+    act = ActivationPattern(rng.uniform(size=(1, 8)))
+    data = to_significance(random_code(p, rng))[None]
     before = cmm.w.copy()
     cmm_write(cmm, act, data)
     once = cmm.w.copy()
@@ -83,7 +83,7 @@ def test_write_order_independence():
     rng = np.random.default_rng(7)
     p = CodeParams(32, 5, 0.8)
     writes = [
-        (ActivationPattern(rng.uniform(size=12)), to_significance(random_code(p, rng)))
+        (ActivationPattern(rng.uniform(size=(1, 12))), to_significance(random_code(p, rng))[None])
         for _ in range(10)
     ]
     final = None
@@ -106,35 +106,42 @@ def test_single_pattern_exact_recall():
     act = _decode(ctx, dec)
     data_code = random_code(p, rng)
     cmm = CorrelationMatrix.zeros(64, 32)
-    cmm_write(cmm, act, to_significance(data_code))
+    cmm_write(cmm, act, to_significance(data_code)[None])
     got, confidence = cmm_read(cmm, act, p)
-    assert got.firing_order == data_code.firing_order
-    assert confidence == pytest.approx(act.total)
+    assert tuple(got[0].tolist()) == data_code.firing_order
+    assert confidence[0] == pytest.approx(act.totals[0])
 
 
 def test_empty_memory_read_flags_zero_confidence():
     p = CodeParams(16, 4, 0.9)
     cmm = CorrelationMatrix.zeros(16, 8)
-    act = ActivationPattern(np.array([0.0, 0.6, 0.0, 0.9, 0.0, 0.0, 0.0, 0.0]))
+    act = ActivationPattern(np.array([[0.0, 0.6, 0.0, 0.9, 0.0, 0.0, 0.0, 0.0]]))
     code, confidence = cmm_read(cmm, act, p)
-    assert confidence == 0.0
-    assert code.firing_order == (0, 1, 2, 3)  # all-tied readout, lowest indices
+    assert confidence.tolist() == [0.0]
+    assert code.tolist() == [[0, 1, 2, 3]]  # all-tied readout, lowest indices
 
 
 def test_read_rejects_params_of_another_geometry():
-    # a read returns a code of the params' geometry or raises
+    # a read returns codes of the params' geometry or raises
     cmm = CorrelationMatrix(np.ones((16, 8)))
-    act = ActivationPattern(np.full(8, 0.5))
-    assert cmm_read(cmm, act, CodeParams(16, 4, 0.9))[0].params.m_total == 16
+    act = ActivationPattern(np.full((1, 8), 0.5))
+    firing = cmm_read(cmm, act, CodeParams(16, 4, 0.9))[0]
+    assert firing.shape == (1, 4) and 0 <= firing.min() and firing.max() < 16
     with pytest.raises(ParameterError, match="length-8"):
         cmm_read(cmm, act, CodeParams(8, 4, 0.9))
+
+
+def test_read_rejects_a_pattern_of_another_width():
+    cmm = CorrelationMatrix(np.ones((16, 8)))
+    with pytest.raises(ParameterError, match="activation"):
+        cmm_read(cmm, ActivationPattern(np.full((2, 9), 0.5)), CodeParams(16, 4, 0.9))
 
 
 def test_all_zero_activation_rejected():
     p = CodeParams(16, 4, 0.9)
     cmm = CorrelationMatrix.zeros(16, 8)
     with pytest.raises(NoActiveLocationError):
-        cmm_read(cmm, ActivationPattern(np.zeros(8)), p)
+        cmm_read(cmm, ActivationPattern(np.zeros((1, 8))), p)
 
 
 def test_calibrated_threshold_hits_target_active_count():
@@ -162,7 +169,7 @@ def test_calibration_and_addressing_agree_on_the_probes():
     for order in _random_firing(_N_PROBES, p, np.random.default_rng(22)):
         ctx = np.zeros(p.m_total)
         ctx[order] = p.significances
-        sims = _address_similarity(ContextState(ctx, np.sort(order)), dec)
+        sims = _address_similarity(ContextState(ctx[None], np.sort(order)[None]), dec)
         counts.append(_decode(ctx, dec).n_active)
         assert int(np.count_nonzero(sims >= dec.threshold)) == counts[-1]
     assert sum(c >= 16 for c in counts) >= _N_PROBES / 2
@@ -182,11 +189,11 @@ def _recall_rate(n_patterns, seed, theta_target=16, metric="order"):
         act = _decode(ctx, dec)
         if act.n_active == 0:
             continue
-        cmm_write(cmm, act, to_significance(data))
+        cmm_write(cmm, act, to_significance(data)[None])
         pairs.append((act, data))
     hits = 0
     for act, data in pairs:
-        got = cmm_read(cmm, act, p)[0].firing_order
+        got = tuple(cmm_read(cmm, act, p)[0][0].tolist())
         if metric == "order":
             hits += got == data.firing_order
         else:
@@ -277,7 +284,7 @@ def test_active_set_matches_dense_reference_at_calibrated_threshold(n_locations)
         for _ in range(200):
             ctx = to_significance(random_code(dec.code_params, rng))
             ref = (rows @ ctx) / (norms * np.linalg.norm(ctx))
-            weights = _decode(ctx, dec).weights
+            weights = _decode(ctx, dec).weights[0]
             active = ref >= dec.threshold
             assert np.array_equal(weights > 0.0, active)
             np.testing.assert_allclose(weights[active], ref[active], rtol=1e-12, atol=0.0)
@@ -321,11 +328,11 @@ def _matrix(shape, data):
 
 
 def _writes(data, m, n_loc, count):
-    """(activation, data) pairs; all-zero activations are drawn among them."""
+    """(activation, data) pairs of one chain; all-zero activations are drawn among them."""
     return [
         (
-            ActivationPattern(data.draw(arrays(np.float64, n_loc, elements=_weights))),
-            data.draw(arrays(np.float64, m, elements=_weights)),
+            ActivationPattern(data.draw(arrays(np.float64, (1, n_loc), elements=_weights))),
+            data.draw(arrays(np.float64, (1, m), elements=_weights)),
         )
         for _ in range(count)
     ]
@@ -346,7 +353,7 @@ def test_sparse_write_equals_dense_max_bit_for_bit(shape, data):
 @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)), data=st.data())
 def test_write_idempotent_and_order_independent(shape, data):
     writes = _writes(data, *shape, data.draw(st.integers(1, 6)))
-    writes.append((ActivationPattern(np.zeros(shape[1])), np.ones(shape[0])))
+    writes.append((ActivationPattern(np.zeros((1, shape[1]))), np.ones((1, shape[0]))))
     order = data.draw(st.permutations(range(len(writes))))
     start = _matrix(shape, data)
     finals = []
@@ -374,12 +381,12 @@ def test_firing_draws_equal_a_loop_of_permutations(n_locations):
 
 def test_activation_pattern_carries_its_active_locations():
     weights = np.array([0.0, 0.6, 0.0, 0.9, 0.0, 1.0, -0.0, 0.2])
-    act = ActivationPattern(weights)
-    assert act.active.tolist() == [1, 3, 5, 7]
+    act = ActivationPattern(weights[None])
+    assert act.active[0].tolist() == [1, 3, 5, 7]
     assert act.n_active == 4
-    assert act.total == float(weights.sum())
+    assert act.totals[0] == float(weights.sum())
     dec = _decoder(theta=0.2)
     rng = np.random.default_rng(3)
     for _ in range(50):
         act = _decode(to_significance(random_code(dec.code_params, rng)), dec)
-        assert np.array_equal(act.active, np.flatnonzero(act.weights))
+        assert np.array_equal(act.active[0], np.flatnonzero(act.weights[0]))

@@ -10,7 +10,9 @@ from spikeseq.seqmachine import (
     decode_burst,
     encode_symbol,
     learn_sequence,
+    learn_sequences,
     recall_sequence,
+    recall_sequences,
     sample_sequences,
 )
 
@@ -21,7 +23,7 @@ def test_codebook_codes_distinct_and_roundtrip():
         cb = Codebook.random(26, CodeParams(256, 11, 0.9), rng)
         assert len({c.firing_order for c in cb.codes}) == 26
         for a in range(26):
-            sym, margin = decode_burst(cb, encode_symbol(cb, a))
+            [sym], [margin] = decode_burst(cb, encode_symbol(cb, a)[None])
             assert sym == a
             assert margin > 0.0
 
@@ -52,15 +54,15 @@ def test_decode_drop_one_spike():
         for idx in cb.codes[a].firing_order:
             damaged = full.copy()
             damaged[idx] = 0.0
-            sym, _ = decode_burst(cb, damaged)
+            [sym], _ = decode_burst(cb, damaged[None])
             assert sym == a
 
 
 def test_decode_tie_breaks_low_index():
     p = CodeParams(4, 1, 0.5)
     cb = Codebook(p, [RankOrderCode(p, (0,)), RankOrderCode(p, (1,))])
-    burst = np.array([1.0, 1.0, 0.0, 0.0])
-    sym, margin = decode_burst(cb, burst)
+    burst = np.array([[1.0, 1.0, 0.0, 0.0]])
+    [sym], [margin] = decode_burst(cb, burst)
     assert sym == 0
     assert margin == 0.0
 
@@ -68,7 +70,7 @@ def test_decode_tie_breaks_low_index():
 def test_decode_zero_burst_rejected():
     m = SequenceMachine(seed=0)
     with pytest.raises(DegenerateInputError):
-        decode_burst(m.codebook, np.zeros(256))
+        decode_burst(m.codebook, np.zeros((1, 256)))
 
 
 def test_learn_empty_and_single_are_noops():
@@ -201,11 +203,11 @@ def test_machine_with_empty_alphabet_rejected():
 def test_decode_non_finite_burst_rejected(bad):
     m = SequenceMachine(seed=0)
     with pytest.raises(ParameterError, match="non-finite"):
-        decode_burst(m.codebook, np.full(256, np.nan))  # used to return a winner
+        decode_burst(m.codebook, np.full((1, 256), np.nan))  # used to return a winner
     burst = encode_symbol(m.codebook, 3)
     burst[0] = bad
     with pytest.raises(ParameterError, match="non-finite"):
-        decode_burst(m.codebook, burst)
+        decode_burst(m.codebook, burst[None])
 
 
 def test_codebook_caches_ascending_supports():
@@ -232,3 +234,72 @@ def test_recall_leaves_the_machine_unchanged_and_interleaves():
     assert interleaved == alone
     assert set(vars(m)) == attrs and "state" not in attrs
     assert np.array_equal(m.memory.w, memory)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: learn_sequence(m, [1.5, 2]),
+        lambda m: learn_sequence(m, [np.float64(1.0), 2]),
+        lambda m: recall_sequence(m, [1.5], 3),
+        lambda m: learn_sequence(m, ["a", 2]),
+        lambda m: learn_sequence(m, [True, 2]),
+        lambda m: recall_sequence(m, [np.bool_(True)], 3),
+        lambda m: learn_sequences(m, [[0, 1], [2, 2.0]]),
+    ],
+    ids=["float", "numpy-float", "recall-float", "str", "bool", "numpy-bool", "batch-float"],
+)
+def test_non_integer_symbols_raise_alphabet_error(call):
+    # bool is an int subclass, and a float or a str used to escape as a raw
+    # IndexError or TypeError; symbols are checked when they become indices
+    m = SequenceMachine(seed=9)
+    with pytest.raises(AlphabetError, match="not an integer"):
+        call(m)
+    assert not m.memory.w.any()
+
+
+@pytest.mark.parametrize("steps", [2.5, np.float64(2.0), "2", True])
+def test_non_integer_steps_raise_parameter_error(steps):
+    m = SequenceMachine(seed=9)
+    with pytest.raises(ParameterError, match="steps must be an integer"):
+        recall_sequence(m, [1], steps)
+
+
+def test_numpy_integer_symbols_and_steps_pass():
+    m1, m2 = SequenceMachine(seed=10), SequenceMachine(seed=10)
+    learn_sequence(m1, [0, 1, 2, 3])
+    learn_sequence(m2, [np.int64(0), np.int32(1), np.uint8(2), 3])
+    assert m1.memory.w.tobytes() == m2.memory.w.tobytes()
+    assert recall_sequence(m1, [0], 3) == recall_sequence(m2, [np.int16(0)], np.int64(3))
+
+
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_capacity_experiment_rejects_no_seeds(n_seeds):
+    with pytest.raises(ParameterError, match="n_seeds"):
+        capacity_experiment(n_seeds=n_seeds)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", True])
+def test_machine_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        SequenceMachine(seed=seed)
+
+
+def test_recall_sequences_validates_its_cues():
+    m = SequenceMachine(seed=11)
+    assert recall_sequences(m, [], 3) == []
+    with pytest.raises(ParameterError, match="one length"):
+        recall_sequences(m, [[0], [1, 2]], 3)
+    with pytest.raises(ParameterError, match="at least one seed symbol"):
+        recall_sequences(m, [[], []], 3)
+
+
+def test_learn_sequences_takes_any_lengths_and_matches_learning_one_by_one():
+    seqs = [[], [4], [0, 1, 2, 3, 4, 5], [7, 8], [0, 1, 2, 3, 4, 5], [9, 10, 11]]
+    batch, serial = SequenceMachine(seed=12), SequenceMachine(seed=12)
+    assert learn_sequences(batch, seqs) is batch
+    for s in seqs:
+        learn_sequence(serial, s)
+    assert batch.memory.w.tobytes() == serial.memory.w.tobytes()
+    cues = [s[:1] for s in seqs if s]
+    assert recall_sequences(batch, cues, 5) == [recall_sequence(serial, c, 5) for c in cues]
