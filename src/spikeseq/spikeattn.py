@@ -5,16 +5,33 @@ scaled dot-product softmax, and cosine similarity with top-k winners
 above a threshold (similarity-weighted combination, renormalized). On
 unit-norm keys the two agree on the winning key for every query, which
 the trial runner measures.
+
+Inputs may carry a leading trial axis: queries (B, n_q, d), keys
+(B, n_k, d) and values (B, n_k, d_v) score B independent trials in one
+call, and 2-D inputs are a block of one that runs the same code. Each
+trial of a block gets the bits that a 2-D call on that trial alone gets.
+
+WTA ranks the keys that pass the threshold by similarity, ties to the
+lower key index. ``WTAResult.winners`` holds the first ``n_winners`` of
+them per query, best first; slots past the keys that passed hold -1.
+
+``compare_attention`` draws its trials in blocks of about 512 KiB of
+normals, one (b, 1 + n_k, d) draw per block. Each trial's query row
+comes first and its n_k key rows follow, which is the stream that a
+(1, d) query draw followed by an (n_k, d) key draw per trial consumes,
+so the rows do not depend on the block size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import FloatVector
+from .codes import FloatVector, IndexVector
 from .errors import ParameterError
+from .sdm import _check_seed
 
 __all__ = [
     "AttentionInputs",
@@ -24,49 +41,70 @@ __all__ = [
     "compare_attention",
 ]
 
+_BLOCK_BYTES = 512 * 1024  # bytes of normals per compare_attention block: cache-sized
+
 
 @dataclass(frozen=True)
 class AttentionInputs:
-    queries: FloatVector  # (n_q, d)
-    keys: FloatVector  # (n_k, d)
-    values: FloatVector  # (n_k, d_v)
+    queries: FloatVector  # ([B,] n_q, d)
+    keys: FloatVector  # ([B,] n_k, d)
+    values: FloatVector  # ([B,] n_k, d_v)
 
     def __post_init__(self) -> None:
-        if self.queries.ndim != 2 or self.keys.ndim != 2 or self.values.ndim != 2:
-            raise ParameterError("queries, keys, values must be 2-D")
-        if self.queries.shape[1] != self.keys.shape[1]:
+        for name in ("queries", "keys", "values"):
+            try:
+                arr = np.asarray(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"{name} must be a float array: {exc}") from None
+            if arr.ndim not in (2, 3):
+                raise ParameterError(f"{name} must be 2-D or 3-D, got {arr.ndim}-D")
+            if not np.isfinite(arr).all():
+                raise ParameterError(f"{name} must be finite")
+            object.__setattr__(self, name, arr)
+        q, k, v = self.queries, self.keys, self.values
+        if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
             raise ParameterError(
-                f"query dim {self.queries.shape[1]} != key dim {self.keys.shape[1]}"
+                f"leading shapes differ: {q.shape[:-2]}, {k.shape[:-2]}, {v.shape[:-2]}"
             )
-        if self.keys.shape[0] != self.values.shape[0]:
-            raise ParameterError(
-                f"{self.keys.shape[0]} keys but {self.values.shape[0]} values"
-            )
-        if self.keys.shape[0] < 1:
+        if q.shape[-1] != k.shape[-1]:
+            raise ParameterError(f"query dim {q.shape[-1]} != key dim {k.shape[-1]}")
+        if k.shape[-2] != v.shape[-2]:
+            raise ParameterError(f"{k.shape[-2]} keys but {v.shape[-2]} values")
+        if k.shape[-2] < 1:
             raise ParameterError("need at least one key")
 
 
 def softmax_attention(inp: AttentionInputs, temperature: float = 1.0) -> FloatVector:
-    """Row-softmax of QK^T / temperature applied to the values."""
-    if temperature <= 0.0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
-    logits = (inp.queries @ inp.keys.T) / temperature
-    z = logits - logits.max(axis=1, keepdims=True)
+    """Row-softmax of QK^T / temperature applied to the values.
+
+    Logits that overflow to infinity are a ParameterError, not NaN rows.
+    """
+    if not 0.0 < temperature < math.inf:
+        raise ParameterError(f"temperature must be finite and positive, got {temperature}")
+    with np.errstate(over="ignore"):
+        logits = (inp.queries @ inp.keys.swapaxes(-1, -2)) / temperature
+    if not np.isfinite(logits).all():
+        raise ParameterError("QK^T / temperature overflows; scale the inputs down")
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    weights = e / e.sum(axis=1, keepdims=True)
+    weights = e / e.sum(axis=-1, keepdims=True)
     return weights @ inp.values
 
 
 def _safe_unit_rows(m: FloatVector) -> FloatVector:
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return np.divide(m, norms, out=np.zeros_like(m), where=norms > 0)
+    """Rows over their norms; a row without a positive norm becomes +0.0s."""
+    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    zero = ~(norms > 0.0)
+    out = m / np.where(zero, 1.0, norms)
+    out[zero[..., 0]] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
 class WTAResult:
-    output: FloatVector  # (n_q, d_v)
-    winners: list[np.ndarray]  # selected key indices per query, best first
-    degenerate: np.ndarray  # (n_q,) bool: no key passed (no winners) / weights unusable
+    output: FloatVector  # ([B,] n_q, d_v)
+    winners: IndexVector  # ([B,] n_q, n_winners) key indices, best first, -1 past the passers
+    degenerate: np.ndarray  # ([B,] n_q) bool: no key passed (no winners) / weights unusable
 
 
 def wta_attention(
@@ -79,29 +117,49 @@ def wta_attention(
     similarity, renormalized to sum one. Queries where nothing passes, or
     where the kept similarities sum to a non-positive value, yield a zero
     row flagged in ``degenerate``; the latter still report their winners.
+
+    Queries are weighted in groups of one winner count, so a query whose
+    c winners are fewer than n_winners sums and multiplies c terms, as a
+    query alone does, and never zero padding.
     """
-    if not 1 <= n_winners <= inp.keys.shape[0]:
-        raise ParameterError(f"n_winners must lie in [1, {inp.keys.shape[0]}]")
-    sims = _safe_unit_rows(inp.queries) @ _safe_unit_rows(inp.keys).T
-    n_q = sims.shape[0]
-    out = np.zeros((n_q, inp.values.shape[1]))
-    winners: list[np.ndarray] = []
-    degenerate = np.zeros(n_q, dtype=bool)
-    for q in range(n_q):
-        row = sims[q]
-        candidates = np.flatnonzero(row >= threshold)
-        if candidates.size == 0:
-            degenerate[q] = True
-            winners.append(np.empty(0, dtype=np.intp))
-            continue
-        ranked = candidates[np.lexsort((candidates, -row[candidates]))][:n_winners]
-        winners.append(ranked)
-        total = row[ranked].sum()
-        if total <= 0.0:
-            degenerate[q] = True
-            continue
-        out[q] = (row[ranked] / total) @ inp.values[ranked]
-    return WTAResult(out, winners, degenerate)
+    n_k = inp.keys.shape[-2]
+    if isinstance(n_winners, (bool, np.bool_)) or not isinstance(n_winners, (int, np.integer)):
+        raise ParameterError(f"n_winners must be an integer, got {n_winners!r}")
+    if not 1 <= n_winners <= n_k:
+        raise ParameterError(f"n_winners must lie in [1, {n_k}]")
+    if math.isnan(threshold):
+        raise ParameterError("threshold must not be NaN")
+    sims = _safe_unit_rows(inp.queries) @ _safe_unit_rows(inp.keys).swapaxes(-1, -2)
+    passed = sims >= threshold
+    # keys that fail sort last; the stable sort sends ties to the lower index
+    ranked = np.argsort(np.where(passed, -sims, np.inf), axis=-1, kind="stable")[..., :n_winners]
+    count = np.minimum(np.count_nonzero(passed, axis=-1), n_winners)
+    winners = np.where(np.arange(n_winners) < count[..., None], ranked, -1)
+
+    # weight each group of queries with c winners over c terms
+    lead, n_q, d_v = sims.shape[:-1], sims.shape[-2], inp.values.shape[-1]
+    values = inp.values.reshape((-1, n_k, d_v))
+    top = np.take_along_axis(sims, ranked, axis=-1).reshape(-1, n_winners)
+    ranked, count = ranked.reshape(-1, n_winners), count.reshape(-1)
+    out = np.zeros((count.size, d_v))
+    degenerate = count == 0
+    for c in (np.flatnonzero(np.bincount(count)[1:]) + 1).tolist():
+        rows = np.flatnonzero(count == c)
+        w = top[rows, :c]
+        total = w.sum(axis=-1)
+        usable = total > 0.0
+        degenerate[rows[~usable]] = True
+        rows, w, total = rows[usable], w[usable], total[usable]
+        picked = values[(rows // n_q)[:, None], ranked[rows, :c]]
+        out[rows] = ((w / total[:, None])[:, None, :] @ picked)[:, 0, :]
+    return WTAResult(out.reshape(lead + (d_v,)), winners, degenerate.reshape(lead))
+
+
+def _check_count(name: str, value: int, low: int) -> None:
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ParameterError(f"{name} must be at least {low}, got {value}")
 
 
 def compare_attention(
@@ -115,18 +173,26 @@ def compare_attention(
 
     Each trial draws one Gaussian query and n_k Gaussian keys; keys are
     row-normalized when unit_norm is set. The softmax winner is the
-    highest-logit key; the WTA winner is the top-1 cosine key.
+    highest-logit key; the WTA winner is the top-1 cosine key. Trials are
+    drawn and scored a block at a time (see the module docstring).
     """
+    _check_count("n_trials", n_trials, 0)
+    _check_count("d", d, 1)
+    _check_count("n_k", n_k, 1)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
-    rows = []
-    for t in range(n_trials):
-        q = rng.normal(size=(1, d))
-        k = rng.normal(size=(n_k, d))
+    block = max(1, _BLOCK_BYTES // (8 * (1 + n_k) * d))
+    eye = np.eye(n_k)  # value = one-hot of key index; output reveals the pick
+    rows: list[tuple[int, int, int, bool]] = []
+    for start in range(0, n_trials, block):
+        b = min(block, n_trials - start)
+        draws = rng.normal(size=(b, 1 + n_k, d))
+        q, k = draws[:, :1], draws[:, 1:]
         if unit_norm:
             k = _safe_unit_rows(k)
-        v = np.eye(n_k)  # value = one-hot of key index; output reveals the pick
-        inp = AttentionInputs(q, k, v)
-        soft = int(np.argmax((q @ k.T)[0]))
-        hard = int(wta_attention(inp, n_winners=1, threshold=-1.0).winners[0][0])
-        rows.append((t, soft, hard, soft == hard))
+        soft = np.argmax(q @ k.swapaxes(-1, -2), axis=-1)[:, 0]
+        inp = AttentionInputs(q, k, np.broadcast_to(eye, (b, n_k, n_k)))
+        hard = wta_attention(inp, n_winners=1, threshold=-1.0).winners[:, 0, 0]
+        agree = (soft == hard).tolist()
+        rows.extend(zip(range(start, start + b), soft.tolist(), hard.tolist(), agree))
     return rows

@@ -74,3 +74,22 @@ def test_traced_probes_run_on_lockstep_blocks(monkeypatch):
         assert counts[layer + ".calls"] > 0, layer
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_traced_compare_attention_calls_wta_attention_by_name(monkeypatch):
+    # the attention study must score its blocks through the module attribute
+    # the tracer wraps, so spikeattn.wta_attention metrics stay fed
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import spans
+
+    from spikeseq import spikeattn
+
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr in spans.wrapped_attributes()]
+    tracer = spans.Tracer()
+    with tracer.installed(counting=True):
+        rows = spikeattn.compare_attention(n_trials=40)
+    assert len(rows) == 40
+    assert tracer.counts["spikeattn.wta_attention.calls"] >= 1
+    assert tracer.counts["attention_trials"] == 40
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr} not restored"

@@ -114,7 +114,7 @@ def test_wta_convex_combination_with_nonneg_threshold():
             if res.degenerate[q]:
                 assert np.all(res.output[q] == 0.0)
                 continue
-            idx = res.winners[q]
+            idx = res.winners[q][res.winners[q] >= 0]  # -1 slots: fewer keys passed
             assert 1 <= idx.size <= 3
             # output must be reproducible as convex combination of those rows
             qn = inp.queries[q] / np.linalg.norm(inp.queries[q])
@@ -141,7 +141,7 @@ def test_wta_unusable_weights_keep_their_winners():
     res = wta_attention(AttentionInputs(q, k, np.array([[5.0]])), n_winners=1, threshold=-1.0)
     assert res.degenerate[0]
     assert np.all(res.output == 0.0)
-    assert res.winners[0].tolist() == [0]
+    assert res.winners[0][res.winners[0] >= 0].tolist() == [0]
 
 
 def test_wta_parameter_validation():
@@ -180,3 +180,121 @@ def test_softmax_and_wta_pick_the_same_key_on_unit_norm_keys(d, n_k, seed, n_tri
     rows = compare_attention(n_trials=n_trials, d=d, n_k=n_k, seed=seed, unit_norm=True)
     assert len(rows) == n_trials
     assert all(soft == hard and agree for _, soft, hard, agree in rows)
+
+
+# ---------------------------------------------------------------- invalid inputs
+
+
+def _one_query(query):
+    return AttentionInputs(np.array([query]), np.array([[1.0, 0.0], [0.0, 1.0]]), np.eye(2))
+
+
+def test_inputs_become_float_arrays():
+    lists = AttentionInputs([[1.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0], [2.0]])
+    arrays = _one_query([1.0, 2.0])
+    assert lists.queries.dtype == np.float64 and lists.values.shape == (2, 1)
+    assert np.array_equal(softmax_attention(lists), softmax_attention(arrays) @ [[1.0], [2.0]])
+
+
+def test_inputs_that_are_not_float_arrays_are_rejected():
+    with pytest.raises(ParameterError):
+        AttentionInputs([[1.0, 2.0], [3.0]], [[1.0, 0.0]], [[1.0]])  # ragged
+    with pytest.raises(ParameterError):
+        AttentionInputs([["a", "b"]], [[1.0, 0.0]], [[1.0]])
+    with pytest.raises(ParameterError):
+        AttentionInputs([1.0, 2.0], [[1.0, 0.0]], [[1.0]])  # 1-D
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_is_rejected(bad):
+    # softmax returned NaN rows and WTA read a NaN query as a zero query
+    with pytest.raises(ParameterError):
+        _one_query([bad, 1.0])
+
+
+@pytest.mark.parametrize("field", ["keys", "values"])
+def test_non_finite_keys_or_values_are_rejected(field):
+    parts = {"queries": np.ones((1, 2)), "keys": np.ones((2, 2)), "values": np.eye(2)}
+    parts[field][0, 0] = np.nan
+    with pytest.raises(ParameterError):
+        AttentionInputs(**parts)
+
+
+def test_mismatched_leading_shapes_are_rejected():
+    rng = np.random.default_rng(8)
+    keys, values = rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 5, 2))
+    with pytest.raises(ParameterError):
+        AttentionInputs(rng.normal(size=(3, 1, 4)), keys, values)
+    with pytest.raises(ParameterError):
+        AttentionInputs(rng.normal(size=(1, 4)), keys, values)
+
+
+@pytest.mark.parametrize("temperature", [np.nan, np.inf])
+def test_softmax_needs_a_finite_positive_temperature(temperature):
+    with pytest.raises(ParameterError):
+        softmax_attention(_one_query([1.0, 0.0]), temperature=temperature)
+
+
+def test_softmax_logits_overflowing_on_a_tiny_temperature_are_rejected():
+    inp = AttentionInputs(np.array([[1.0]]), np.array([[1.0], [0.5]]), np.eye(2))
+    with pytest.raises(ParameterError):
+        softmax_attention(inp, temperature=1e-310)
+
+
+def test_softmax_logits_overflowing_on_huge_inputs_are_rejected():
+    inp = AttentionInputs(np.array([[1e200]]), np.array([[1e200], [0.5]]), np.eye(2))
+    with pytest.raises(ParameterError):
+        softmax_attention(inp, temperature=1.0)
+
+
+def test_wta_threshold_must_not_be_nan():
+    # a NaN threshold flagged every query as degenerate
+    with pytest.raises(ParameterError):
+        wta_attention(_one_query([1.0, 0.0]), threshold=np.nan)
+
+
+@pytest.mark.parametrize("n_winners", [1.5, 1.0, True, "1"])
+def test_wta_n_winners_must_be_an_integer(n_winners):
+    with pytest.raises(ParameterError):
+        wta_attention(_one_query([1.0, 0.0]), n_winners=n_winners)
+
+
+def test_wta_accepts_numpy_integer_winners():
+    res = wta_attention(_one_query([1.0, 0.0]), n_winners=np.int64(2), threshold=-1.0)
+    assert res.winners.tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_trials": -3},
+        {"n_trials": 2.5},
+        {"n_trials": True},
+        {"d": -1},
+        {"d": 0},  # no dimension: every trial agreed vacuously
+        {"n_k": 0},
+        {"n_k": 1.0},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": 2**63},
+    ],
+)
+def test_compare_attention_rejects_invalid_arguments(kwargs):
+    with pytest.raises(ParameterError):
+        compare_attention(**{"n_trials": 3, **kwargs})
+
+
+def test_compare_attention_memory_stays_blocked():
+    # one unblocked batch of every trial peaks at 24 MiB at 500 trials and
+    # grows with the trial count; blocks keep the peak near one block's draws
+    import tracemalloc
+
+    compare_attention(n_trials=1)  # first-call imports are not the blocks' memory
+    tracemalloc.start()
+    try:
+        rows = compare_attention(n_trials=4000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 4000
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
