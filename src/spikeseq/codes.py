@@ -5,22 +5,21 @@ of M; firing order carries information. Its dense representation assigns
 geometrically decreasing weights ``alpha**k`` to the k-th firing neuron,
 so cosine similarity between codes privileges agreement at early ranks.
 
-Significance vectors are plain float64 numpy arrays of length M; the
-structured type is :class:`RankOrderCode`. A code's support is the
-ascending array of its N firing indices.
+Codes come in blocks of B along a leading axis, and a single code is a
+block of one: a (B, N) integer array of firing orders is the code itself,
+its (B, M) float64 significance rows are its dense form, and
+``np.sort(firing, axis=1)`` gives the (B, N) ascending supports.
+``random_firing`` draws firing orders, ``to_significance`` turns them into
+rows, ``nofm`` selects the top N of every row of a (B, M) block,
+``vector_norm`` takes the norm along the last axis, and ``support_matvec``
+multiplies a matrix by every row over the support it is given, so that it
+gathers the N columns of each support and never searches a row for it.
+Each of them gives every row the bits that the same function gives a
+block of that one row.
 
-The engine works on blocks of B codes along a leading axis: (B, M)
-significance rows, (B, N) firing orders and (B, K) ascending supports.
-``nofm_rows`` selects the top N of every row, ``significance_rows`` turns
-firing orders into rows, ``vector_norm`` takes the norm along the last
-axis, and ``support_matvec`` multiplies a matrix by every row over the
-support it is given, so that it gathers the N columns of each support and
-never searches a row for it. Each of them gives every row the bits that
-the same function gives a block of that one row.
-
-``nofm(v, params)`` turns one length-M vector into a code of the geometry
-it is given: N is ``params.n_active``, and a vector whose length is not
-``params.m_total`` is a ParameterError, never a code of another geometry.
+``nofm(v, params)`` selects codes of the geometry it is given: N is
+``params.n_active``, and rows whose length is not ``params.m_total`` are a
+ParameterError, never codes of another geometry.
 """
 
 from __future__ import annotations
@@ -31,20 +30,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, ParameterError, check_int
 
 __all__ = [
     "CodeParams",
-    "RankOrderCode",
+    "random_firing",
     "to_significance",
     "vector_norm",
     "cosine_sim",
     "support_matvec",
-    "significance_rows",
     "nofm",
-    "nofm_rows",
     "is_canonical",
-    "random_code",
     "info_bits_ordered",
     "info_bits_unordered",
     "info_ratio",
@@ -67,49 +63,17 @@ class CodeParams:
     significances: FloatVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_active <= self.m_total:
+        check_int("m_total", self.m_total, 1)
+        check_int("n_active", self.n_active, 1)
+        if self.n_active > self.m_total:
             raise ParameterError(
-                f"need 1 <= n_active <= m_total, got N={self.n_active}, M={self.m_total}"
+                f"need n_active <= m_total, got N={self.n_active}, M={self.m_total}"
             )
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         sig = self.alpha ** np.arange(self.n_active, dtype=np.float64)
         sig.flags.writeable = False
         object.__setattr__(self, "significances", sig)
-
-
-@dataclass(frozen=True)
-class RankOrderCode:
-    """An ordered burst: firing_order[k] is the index of the k-th spike."""
-
-    params: CodeParams
-    firing_order: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        order = tuple(np.asarray(self.firing_order, dtype=np.intp).tolist())
-        object.__setattr__(self, "firing_order", order)
-        if len(order) != self.params.n_active:
-            raise ParameterError(
-                f"firing_order has {len(order)} entries, expected N={self.params.n_active}"
-            )
-        if len(set(order)) != len(order):
-            raise ParameterError("firing_order indices must be distinct")
-        if min(order) < 0 or max(order) >= self.params.m_total:
-            raise ParameterError(
-                f"firing_order indices must lie in [0, {self.params.m_total})"
-            )
-
-    @property
-    def support(self) -> IndexVector:
-        """The firing indices in ascending order."""
-        return np.array(sorted(self.firing_order), dtype=np.intp)
-
-
-def to_significance(code: RankOrderCode) -> FloatVector:
-    """Dense significance vector: alpha**k at firing_order[k], zero elsewhere."""
-    out = np.zeros(code.params.m_total, dtype=np.float64)
-    out.put(code.firing_order, code.params.significances)
-    return out
 
 
 def vector_norm(v: FloatVector) -> FloatVector:
@@ -178,14 +142,28 @@ def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) ->
     return out
 
 
-def significance_rows(firing: IndexVector, params: CodeParams, order: str = "C") -> FloatVector:
-    """(B, M) significance rows of the (B, N) firing orders."""
+def random_firing(n: int, params: CodeParams, rng: np.random.Generator) -> IndexVector:
+    """(n, N) uniform random firing orders, row k drawn as ``rng.permutation(M)[:N]``.
+
+    Permuting each row of an (n, M) tile consumes the generator exactly as
+    n calls of ``rng.permutation(M)`` do. The tile is permuted in place and
+    holds the smallest integer type that fits an index, so that drawing
+    adds little memory next to the (n, M) float rows the draws fill.
+    """
+    index_type = np.min_scalar_type(params.m_total - 1)
+    tile = np.tile(np.arange(params.m_total, dtype=index_type), (n, 1))
+    rng.permuted(tile, axis=1, out=tile)
+    return tile[:, : params.n_active].astype(np.intp)
+
+
+def to_significance(firing: IndexVector, params: CodeParams, order: str = "C") -> FloatVector:
+    """(B, M) significance rows of the (B, N) firing orders: alpha**k at firing[b, k]."""
     rows = np.zeros((firing.shape[0], params.m_total), order=order)
     rows[np.arange(firing.shape[0])[:, None], firing] = params.significances
     return rows
 
 
-def nofm_rows(v: FloatVector, params: CodeParams) -> IndexVector:
+def nofm(v: FloatVector, params: CodeParams) -> IndexVector:
     """(B, N) firing orders of the N = ``params.n_active`` largest entries of each row.
 
     Ordering is by descending component value; exact ties break toward the
@@ -210,19 +188,6 @@ def nofm_rows(v: FloatVector, params: CodeParams) -> IndexVector:
     return neg.argsort(axis=1, kind="stable")[:, :n]
 
 
-def nofm(v: FloatVector, params: CodeParams) -> RankOrderCode:
-    """Select the N = ``params.n_active`` largest components of v as a code.
-
-    The selection of :func:`nofm_rows` on a block of one row. Raises
-    ParameterError when v is not a length-M vector or has a non-finite
-    component.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (params.m_total,):
-        raise ParameterError(f"nofm expects a length-{params.m_total} vector, got shape {v.shape}")
-    return RankOrderCode(params, nofm_rows(v[None], params)[0])
-
-
 def is_canonical(v: FloatVector, params: CodeParams) -> bool:
     """True when v carries exactly the weight set {alpha**0..alpha**(N-1)}."""
     v = np.asarray(v, dtype=np.float64)
@@ -232,11 +197,6 @@ def is_canonical(v: FloatVector, params: CodeParams) -> bool:
     if nz.size != params.n_active:
         return False
     return bool(np.array_equal(np.sort(v[nz])[::-1], params.significances))
-
-
-def random_code(params: CodeParams, rng: np.random.Generator) -> RankOrderCode:
-    """Uniform random rank-ordered code (distinct indices, random order)."""
-    return RankOrderCode(params, rng.permutation(params.m_total)[: params.n_active])
 
 
 def _check_nm(n: int, m: int) -> None:

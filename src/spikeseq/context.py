@@ -14,7 +14,11 @@ decoder consumes.
 Contexts run in blocks of B chains along a leading axis: a
 :class:`ContextState` holds (B, M) significance rows and their (B, K)
 ascending supports, and one ``update_context`` advances every chain of the
-block. Chains drop out of a block with :meth:`ContextState.take`.
+block. A code has one form, a block of firing orders: an update selects
+the (B, N) firing orders of the blended drive with
+:func:`~spikeseq.codes.nofm` and keeps their rows
+(:func:`~spikeseq.codes.to_significance`) and their sorted orders as the
+supports. Chains drop out of a block with :meth:`ContextState.take`.
 
 The input term depends only on the input code, so it is computed once per
 code: :func:`input_terms` returns the rows ``(1 - gate) * scale(P2 @ x)``
@@ -43,12 +47,11 @@ from .codes import (
     CodeParams,
     FloatVector,
     IndexVector,
-    significance_rows,
+    nofm,
     support_matvec,
     to_significance,
     vector_norm,
 )
-from .codes import nofm_rows as nofm  # the step's top-N selection, traced by this name
 from .errors import DegenerateInputError, ParameterError
 
 __all__ = ["ContextConfig", "ContextState", "input_terms", "update_context", "random_projection"]
@@ -115,11 +118,6 @@ class ContextState:
     support: IndexVector
 
     @classmethod
-    def from_code(cls, code) -> "ContextState":
-        """A block of one chain whose context is the code."""
-        return cls(to_significance(code)[None], code.support[None])
-
-    @classmethod
     def start(cls, m_total: int, batch: int) -> "ContextState":
         """The empty history of ``batch`` chains: their first update depends only on its input."""
         return cls(np.zeros((batch, m_total)), np.zeros((batch, 0), dtype=np.intp))
@@ -168,4 +166,4 @@ def update_context(prev: ContextState, terms: FloatVector, cfg: ContextConfig) -
     if not all(blend.any(axis=1).tolist()):
         raise DegenerateInputError("blended context drive is identically zero")
     firing = nofm(blend, cfg.code_params)
-    return ContextState(significance_rows(firing, cfg.code_params), np.sort(firing, axis=1))
+    return ContextState(to_significance(firing, cfg.code_params), np.sort(firing, axis=1))

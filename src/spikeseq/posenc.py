@@ -35,7 +35,7 @@ import numpy as np
 from scipy import stats
 
 from .codes import FloatVector
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 
 __all__ = [
     "PosEncParams",
@@ -61,9 +61,9 @@ class PosEncParams:
     window: float = 1.0  # spike window T; default 1 so the scale is 1/L
 
     def __post_init__(self) -> None:
-        if self.seq_len < 2:
-            raise ParameterError(f"seq_len must be >= 2, got {self.seq_len}")
-        if self.dim < 2 or self.dim % 2:
+        check_int("seq_len", self.seq_len, 2)
+        check_int("dim", self.dim, 2)
+        if self.dim % 2:
             raise ParameterError(f"dim must be a positive even integer, got {self.dim}")
         if not (0 < self.base < math.inf and 0 < self.window < math.inf):
             raise ParameterError(

@@ -51,13 +51,14 @@ from .codes import (
     CodeParams,
     FloatVector,
     IndexVector,
-    significance_rows,
+    nofm,
+    random_firing,
     support_matvec,
+    to_significance,
     vector_norm,
 )
-from .codes import nofm_rows as nofm  # the read's top-N selection, traced by this name
 from .context import ContextState
-from .errors import NoActiveLocationError, ParameterError
+from .errors import NoActiveLocationError, ParameterError, check_int
 
 __all__ = [
     "AddressDecoder",
@@ -93,27 +94,6 @@ def _row_norms(rows: FloatVector) -> FloatVector:
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
-def _check_seed(seed: int) -> None:
-    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)):
-        raise ParameterError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**63:
-        raise ParameterError(f"seed must lie in [0, 2**63), got {seed}")
-
-
-def _random_firing(n: int, params: CodeParams, rng: np.random.Generator) -> IndexVector:
-    """(n, N) firing orders, drawn as n calls of ``random_code`` draw them.
-
-    Permuting each row of an (n, M) tile consumes the generator exactly as
-    n calls of ``rng.permutation(M)`` do. The tile is permuted in place and
-    holds the smallest integer type that fits an index, so that drawing
-    adds little memory next to the (n, M) float rows the draws fill.
-    """
-    index_type = np.min_scalar_type(params.m_total - 1)
-    tile = np.tile(np.arange(params.m_total, dtype=index_type), (n, 1))
-    rng.permuted(tile, axis=1, out=tile)
-    return tile[:, : params.n_active].astype(np.intp)
-
-
 @dataclass
 class AddressDecoder:
     """W random canonical address codes plus an activation threshold.
@@ -131,7 +111,7 @@ class AddressDecoder:
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ParameterError(f"threshold must lie in [0, 1], got {self.threshold}")
-        _check_seed(self.seed)
+        check_int("seed", self.seed, 0, 2**63)
         if self.addresses.ndim != 2 or self.addresses.shape[1] != self.code_params.m_total:
             raise ParameterError(
                 f"addresses must be (W, {self.code_params.m_total}), got {self.addresses.shape}"
@@ -154,9 +134,10 @@ class AddressDecoder:
         threshold: float,
         seed: int,
     ) -> "AddressDecoder":
-        _check_seed(seed)
-        firing = _random_firing(n_locations, code_params, np.random.default_rng(seed))
-        rows = significance_rows(firing, code_params, order="F")
+        check_int("n_locations", n_locations, 1)
+        check_int("seed", seed, 0, 2**63)
+        firing = random_firing(n_locations, code_params, np.random.default_rng(seed))
+        rows = to_significance(firing, code_params, order="F")
         return cls(rows, threshold, code_params, seed=seed)
 
 
@@ -301,10 +282,9 @@ def calibrate_threshold(dec: AddressDecoder, target_active: int, seed: int) -> f
     on blocks of probes, so the levels it ranks are those addressing
     reproduces exactly. The decoder's own threshold is not read.
     """
-    if not 1 <= target_active <= dec.n_locations:
-        raise ParameterError(f"target_active out of range: {target_active}")
-    firing = _random_firing(_N_PROBES, dec.code_params, np.random.default_rng(seed))
-    probes = ContextState(significance_rows(firing, dec.code_params), np.sort(firing, axis=1))
+    check_int("target_active", target_active, 1, dec.n_locations + 1)
+    firing = random_firing(_N_PROBES, dec.code_params, np.random.default_rng(seed))
+    probes = ContextState(to_significance(firing, dec.code_params), np.sort(firing, axis=1))
     kth = np.empty(_N_PROBES)
     for i in range(0, _N_PROBES, _PROBE_BLOCK):
         sims = _address_similarity(probes.take(slice(i, i + _PROBE_BLOCK)), dec)

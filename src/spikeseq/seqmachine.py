@@ -1,8 +1,9 @@
 """End-to-end sequence machine: encode, context, memory, decode.
 
-Symbols map to fixed random rank-ordered codes; a gated context chain
-addresses a sparse distributed memory that stores next-symbol codes
-one-shot; decoding projects a retrieved burst back onto the codebook
+Symbols map to fixed random rank-ordered codes, the rows of the
+codebook's (A, N) firing-order block; a gated context chain addresses a
+sparse distributed memory that stores next-symbol codes one-shot;
+decoding projects a retrieved burst back onto the codebook
 (transposed-encoder scores) and takes the winner.
 
 Recall is autoregressive: the decoded symbol's clean code is fed back,
@@ -19,14 +20,16 @@ run a block of one. The max write rule is commutative and idempotent and
 recall only reads, so any grouping of chains into blocks gives the same
 memory and the same recalls, bit for bit.
 
-Every code on the step path carries its ascending support: the codebook
-caches each codeword's, the context state holds the ones its update
-produced, and an activation pattern the locations it found active. The
-machine builds the input term of every codeword once, at construction
-(:func:`~spikeseq.context.input_terms`), and an update adds the row of
-each chain's symbol. The context state is a value that the learn and
-recall functions keep in a local variable; a machine holds its
-configuration and its memory, no state of a run.
+Every code on the step path is a block of firing orders and carries its
+ascending support: the codebook, a frozen value over its firing block,
+caches each codeword's significance row and support, the context state
+holds the ones its update produced, a read returns firing orders that
+decoding turns into rows, and an activation pattern holds the locations
+it found active. The machine builds the input term of every codeword
+once, at construction (:func:`~spikeseq.context.input_terms`), and an
+update adds the row of each chain's symbol. The context state is a value
+that the learn and recall functions keep in a local variable; a machine
+holds its configuration and its memory, no state of a run.
 """
 
 from __future__ import annotations
@@ -41,14 +44,12 @@ from .codes import (
     CodeParams,
     FloatVector,
     IndexVector,
-    RankOrderCode,
-    random_code,
-    significance_rows,
+    random_firing,
     to_significance,
     vector_norm,
 )
 from .context import ContextConfig, ContextState, input_terms, update_context
-from .errors import AlphabetError, DegenerateInputError, ParameterError
+from .errors import AlphabetError, DegenerateInputError, ParameterError, check_int
 from .sdm import (
     ActivationPattern,
     AddressDecoder,
@@ -74,47 +75,75 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Codebook:
-    """Alphabet of one or more pairwise-distinct random rank-ordered codes."""
+    """Alphabet of A pairwise-distinct rank-ordered codes: row a of ``firing`` is symbol a's.
+
+    ``firing`` is an (A, N) integer block of firing orders. The codebook
+    derives the rows every step reads once, at construction, and keeps all
+    of its arrays read-only.
+    """
 
     code_params: CodeParams
-    codes: list[RankOrderCode]
-    encode_matrix: FloatVector = field(init=False)  # (A, M) stacked significances
+    firing: IndexVector  # (A, N) firing orders, one code per symbol
+    encode_matrix: FloatVector = field(init=False)  # (A, M) significance rows
     supports: IndexVector = field(init=False, repr=False)  # (A, N) ascending, per code
     _row_norms: FloatVector = field(init=False, repr=False)  # (A,) norms of encode_matrix
 
     def __post_init__(self) -> None:
-        if not self.codes:
+        p, firing = self.code_params, np.asarray(self.firing)
+        if firing.ndim != 2:
+            raise ParameterError(f"firing must be an (A, N) block, got shape {firing.shape}")
+        if not firing.shape[0]:
             raise ParameterError("a codebook needs at least one code")
-        orders = {c.firing_order for c in self.codes}
-        if len(orders) != len(self.codes):
+        if firing.shape[1] != p.n_active:
+            raise ParameterError(f"codes have {firing.shape[1]} indices, expected N={p.n_active}")
+        if firing.dtype.kind not in "iu":
+            raise ParameterError(f"firing indices must be integers, got dtype {firing.dtype}")
+        firing = firing.astype(np.intp)  # a copy: the caller's array stays writeable
+        if firing.min() < 0 or firing.max() >= p.m_total:
+            raise ParameterError(f"firing indices must lie in [0, {p.m_total})")
+        supports = np.sort(firing, axis=1)
+        if (supports[:, 1:] == supports[:, :-1]).any():
+            raise ParameterError("the indices of a code must be distinct")
+        if len(set(map(tuple, firing.tolist()))) != len(firing):
             raise ParameterError("codebook codes must be pairwise distinct")
-        self.encode_matrix = np.stack([to_significance(c) for c in self.codes])
-        self.supports = np.stack([c.support for c in self.codes])
-        self._row_norms = np.linalg.norm(self.encode_matrix, axis=1)
+        encode = to_significance(firing, p)
+        for name, value in (
+            ("firing", firing),
+            ("encode_matrix", encode),
+            ("supports", supports),
+            ("_row_norms", np.linalg.norm(encode, axis=1)),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def alphabet_size(self) -> int:
-        return len(self.codes)
+        return self.firing.shape[0]
 
     @classmethod
     def random(
         cls, alphabet_size: int, code_params: CodeParams, rng: np.random.Generator
     ) -> "Codebook":
+        """``alphabet_size`` distinct codes, drawn as ``rng.permutation(M)[:N]`` until enough differ.
+
+        Each round draws the codes still missing in one block and keeps the
+        first occurrence of each; a round draws no more codes than the loop of
+        single draws would, so the codes and the generator's end state are
+        that loop's.
+        """
+        check_int("alphabet_size", alphabet_size, 1)
         n_codes = math.perm(code_params.m_total, code_params.n_active)
         if alphabet_size > n_codes:
             raise ParameterError(
                 f"alphabet of {alphabet_size} symbols exceeds the {n_codes} distinct codes"
             )
-        codes: list[RankOrderCode] = []
-        seen: set[tuple[int, ...]] = set()
-        while len(codes) < alphabet_size:
-            c = random_code(code_params, rng)
-            if c.firing_order not in seen:
-                seen.add(c.firing_order)
-                codes.append(c)
-        return cls(code_params, codes)
+        kept: dict[tuple[int, ...], None] = {}  # insertion-ordered: first occurrences
+        while len(kept) < alphabet_size:
+            drawn = random_firing(alphabet_size - len(kept), code_params, rng)
+            kept.update(dict.fromkeys(map(tuple, drawn.tolist())))
+        return cls(code_params, np.array(list(kept), dtype=np.intp))
 
 
 def encode_symbol(cb: Codebook, symbol: int) -> FloatVector:
@@ -287,10 +316,7 @@ def recall_sequences(
     block. Result b is the one ``recall_sequence(m, cues[b], steps)``
     returns, bit for bit.
     """
-    if isinstance(steps, (bool, np.bool_)) or not isinstance(steps, (int, np.integer)):
-        raise ParameterError(f"steps must be an integer, got {steps!r}")
-    if steps < 0:
-        raise ParameterError("steps must be non-negative")
+    check_int("steps", steps, 0)
     if not cues:
         return []
     if len({len(c) for c in cues}) > 1:
@@ -322,7 +348,7 @@ def recall_sequences(
             conf = [c for c in conf if c != 0.0]
             if not live:
                 break
-        symbol, margin = decode_burst(m.codebook, significance_rows(firing, m.params))
+        symbol, margin = decode_burst(m.codebook, to_significance(firing, m.params))
         for b, s, mg, c in zip(live, symbol.tolist(), margin.tolist(), conf):
             out[b].append(RecallStep(s, mg, c))
         if step + 1 < steps:
@@ -356,10 +382,11 @@ def sample_sequences(
     fully i.i.d. draws two stored sequences regularly share a first
     symbol, which makes their continuations inherently ambiguous.
     """
-    if not 0 <= n_sequences <= alphabet_size:
-        raise ParameterError("need 0 <= n_sequences <= alphabet_size for distinct first symbols")
-    if length < 1:
-        raise ParameterError(f"sequence length must be >= 1, got {length}")
+    check_int("n_sequences", n_sequences, 0)
+    check_int("length", length, 1)
+    check_int("alphabet_size", alphabet_size, 0)
+    if n_sequences > alphabet_size:
+        raise ParameterError("need n_sequences <= alphabet_size for distinct first symbols")
     firsts = rng.permutation(alphabet_size)[:n_sequences]
     return [
         [int(f)] + [int(s) for s in rng.integers(0, alphabet_size, size=length - 1)]
@@ -385,10 +412,9 @@ def capacity_experiment(
     first symbol, and scores the predicted continuation symbol-by-symbol,
     so it needs at least one seed and one sequence of two or more symbols.
     """
-    if n_sequences < 1 or length < 2:
-        raise ParameterError(f"nothing to score with {n_sequences} sequences of length {length}")
-    if n_seeds < 1:
-        raise ParameterError(f"need at least one seed, got n_seeds={n_seeds}")
+    check_int("n_sequences", n_sequences, 1)
+    check_int("length", length, 2)
+    check_int("n_seeds", n_seeds, 1)
     accuracies = []
     for k in range(n_seeds):
         seed = base_seed + k

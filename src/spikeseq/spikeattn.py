@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import FloatVector, IndexVector
-from .errors import ParameterError
-from .sdm import _check_seed
+from .errors import ParameterError, check_int
 
 __all__ = [
     "AttentionInputs",
@@ -123,10 +122,7 @@ def wta_attention(
     query alone does, and never zero padding.
     """
     n_k = inp.keys.shape[-2]
-    if isinstance(n_winners, (bool, np.bool_)) or not isinstance(n_winners, (int, np.integer)):
-        raise ParameterError(f"n_winners must be an integer, got {n_winners!r}")
-    if not 1 <= n_winners <= n_k:
-        raise ParameterError(f"n_winners must lie in [1, {n_k}]")
+    check_int("n_winners", n_winners, 1, n_k + 1)
     if math.isnan(threshold):
         raise ParameterError("threshold must not be NaN")
     sims = _safe_unit_rows(inp.queries) @ _safe_unit_rows(inp.keys).swapaxes(-1, -2)
@@ -155,13 +151,6 @@ def wta_attention(
     return WTAResult(out.reshape(lead + (d_v,)), winners, degenerate.reshape(lead))
 
 
-def _check_count(name: str, value: int, low: int) -> None:
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ParameterError(f"{name} must be at least {low}, got {value}")
-
-
 def compare_attention(
     n_trials: int = 1000,
     d: int = 64,
@@ -176,10 +165,10 @@ def compare_attention(
     highest-logit key; the WTA winner is the top-1 cosine key. Trials are
     drawn and scored a block at a time (see the module docstring).
     """
-    _check_count("n_trials", n_trials, 0)
-    _check_count("d", d, 1)
-    _check_count("n_k", n_k, 1)
-    _check_seed(seed)
+    check_int("n_trials", n_trials, 0)
+    check_int("d", d, 1)
+    check_int("n_k", n_k, 1)
+    check_int("seed", seed, 0, 2**63)
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_BYTES // (8 * (1 + n_k) * d))
     eye = np.eye(n_k)  # value = one-hot of key index; output reveals the pick

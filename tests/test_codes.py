@@ -9,14 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from spikeseq.codes import (
     CodeParams,
-    RankOrderCode,
     cosine_sim,
     info_bits_ordered,
     info_bits_unordered,
     info_ratio,
     is_canonical,
     nofm,
-    random_code,
+    random_firing,
     support_matvec,
     to_significance,
     vector_norm,
@@ -33,43 +32,52 @@ def test_code_params_validation():
         CodeParams(m_total=4, n_active=2, alpha=0.0)
 
 
-def test_rank_order_code_validation():
-    p = CodeParams(4, 2, 0.5)
-    with pytest.raises(ParameterError):
-        RankOrderCode(p, (1, 1))
-    with pytest.raises(ParameterError):
-        RankOrderCode(p, (1,))
-    with pytest.raises(ParameterError):
-        RankOrderCode(p, (1, 4))
-    with pytest.raises(ParameterError):
-        RankOrderCode(p, (-1, 2))
+@pytest.mark.parametrize(
+    "m_total, n_active",
+    [(8.5, 2), (8.0, 2), (8, 2.0), (8, True), (np.float64(8.0), 2)],
+    ids=["float-m", "integral-float-m", "float-n", "bool-n", "numpy-float-m"],
+)
+def test_code_params_must_be_integers(m_total, n_active):
+    # CodeParams(8.5, 2, 0.5) used to be accepted
+    with pytest.raises(ParameterError, match="must be an integer"):
+        CodeParams(m_total, n_active, 0.5)
+    assert CodeParams(np.int64(8), np.uint8(2), 0.5).n_active == 2
+
+
+def _row(p, order):
+    """The significance row of one firing order."""
+    return to_significance(np.array([order]), p)[0]
 
 
 def test_rank_order_code_support_is_ascending_firing_order():
     p = CodeParams(8, 3, 0.5)
-    code = RankOrderCode(p, np.array([5, 0, 3]))
-    assert code.firing_order == (5, 0, 3)
-    assert all(type(i) is int for i in code.firing_order)
-    assert code.support.dtype == np.intp
-    assert code.support.tolist() == [0, 3, 5]
-    assert np.array_equal(code.support, np.flatnonzero(to_significance(code)))
+    firing = np.array([[5, 0, 3]])
+    support = np.sort(firing, axis=1)
+    assert support.tolist() == [[0, 3, 5]]
+    assert np.array_equal(support[0], np.flatnonzero(to_significance(firing, p)[0]))
+    drawn = random_firing(20, p, np.random.default_rng(1))
+    assert drawn.dtype == np.intp and drawn.shape == (20, 3)
+    for order, row in zip(drawn, to_significance(drawn, p)):
+        assert len(set(order.tolist())) == 3
+        assert np.array_equal(np.sort(order), np.flatnonzero(row))
 
 
 def test_to_significance_small():
     p = CodeParams(4, 2, 0.5)
-    v = to_significance(RankOrderCode(p, (2, 0)))
-    assert np.array_equal(v, [0.5, 0.0, 1.0, 0.0])
+    v = to_significance(np.array([[2, 0], [1, 3]]), p)
+    assert np.array_equal(v, [[0.5, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.5]])
 
     p1 = CodeParams(3, 1, 0.9)
-    v1 = to_significance(RankOrderCode(p1, (1,)))
-    assert np.array_equal(v1, [0.0, 1.0, 0.0])
+    v1 = to_significance(np.array([[1]]), p1)
+    assert np.array_equal(v1, [[0.0, 1.0, 0.0]])
+    assert to_significance(np.array([[1]]), p1, order="F").flags.f_contiguous
 
 
 def test_significance_norm_matches_geometric_sum():
     # oracle: direct summation of alpha**(2k)
     p = CodeParams(256, 11, 0.9)
     rng = np.random.default_rng(7)
-    v = to_significance(random_code(p, rng))
+    [v] = to_significance(random_firing(1, p, rng), p)
     direct = sum(0.9 ** (2 * k) for k in range(11))
     closed = (1 - 0.9**22) / (1 - 0.81)
     assert math.isclose(direct, closed, rel_tol=1e-12)
@@ -78,8 +86,7 @@ def test_significance_norm_matches_geometric_sum():
 
 def test_cosine_identical_and_disjoint():
     p = CodeParams(8, 3, 0.7)
-    a = to_significance(RankOrderCode(p, (0, 3, 5)))
-    b = to_significance(RankOrderCode(p, (1, 2, 4)))
+    a, b = to_significance(np.array([[0, 3, 5], [1, 2, 4]]), p)
     assert cosine_sim(a, a) == pytest.approx(1.0, abs=1e-15)
     assert cosine_sim(a, b) == 0.0
 
@@ -87,8 +94,7 @@ def test_cosine_identical_and_disjoint():
 def test_cosine_hand_case():
     # orders [0,1] vs [1,0]: dot = 1.0, each squared norm = 1.25
     p = CodeParams(4, 2, 0.5)
-    a = to_significance(RankOrderCode(p, (0, 1)))
-    b = to_significance(RankOrderCode(p, (1, 0)))
+    a, b = to_significance(np.array([[0, 1], [1, 0]]), p)
     assert cosine_sim(a, b) == pytest.approx(0.8, abs=1e-15)
 
 
@@ -96,8 +102,7 @@ def test_cosine_properties_random():
     p = CodeParams(64, 7, 0.8)
     rng = np.random.default_rng(11)
     for _ in range(100):
-        a = to_significance(random_code(p, rng))
-        b = to_significance(random_code(p, rng))
+        a, b = to_significance(random_firing(2, p, rng), p)
         s = cosine_sim(a, b)
         assert 0.0 <= s <= 1.0 + 1e-15
         assert s == pytest.approx(cosine_sim(b, a), abs=1e-15)
@@ -114,44 +119,45 @@ def test_cosine_zero_vector_rejected():
 
 def test_nofm_small_cases():
     p = CodeParams(4, 2, 0.5)
-    assert nofm(np.array([0.1, 0.9, 0.4, 0.7]), p).firing_order == (1, 3)
+    assert nofm(np.array([[0.1, 0.9, 0.4, 0.7], [0.3, 0.3, 0.3, 0.0]]), p).tolist() == [
+        [1, 3],
+        [0, 1],
+    ]
     p1 = CodeParams(3, 1, 0.5)
-    assert nofm(np.array([0.5, 0.5, 0.0]), p1).firing_order == (0,)
+    assert nofm(np.array([[0.5, 0.5, 0.0]]), p1).tolist() == [[0]]
 
 
 def test_nofm_full_sort_matches_reference():
     rng = np.random.default_rng(3)
     v = rng.normal(size=16)
     p = CodeParams(16, 16, 0.9)
-    got = nofm(v, p).firing_order
-    ref = tuple(sorted(range(16), key=lambda i: (-v[i], i)))
+    got = nofm(v[None], p)[0].tolist()
+    ref = sorted(range(16), key=lambda i: (-v[i], i))
     assert got == ref
 
 
 def test_nofm_rejects_oversized_n():
     p = CodeParams(5, 5, 0.5)
     with pytest.raises(ParameterError):
-        nofm(np.zeros(3), p)
+        nofm(np.zeros((1, 3)), p)
 
 
 def test_nofm_rejects_a_vector_of_another_geometry():
-    # N and M come from params: a vector whose length is not M is an error,
-    # not a code of a geometry nobody asked for
+    # N and M come from params: rows whose length is not M are an error, not
+    # codes of a geometry nobody asked for, and a single vector is not a block
     p = CodeParams(4, 2, 0.5)
-    for v in (np.arange(8.0), np.arange(3.0), np.ones((2, 4))):
+    for v in (np.ones((1, 8)), np.ones((2, 3)), np.arange(4.0), np.ones((1, 1, 4))):
         with pytest.raises(ParameterError, match="length-4"):
             nofm(v, p)
-    assert nofm(np.arange(4.0), p).params is p
+    assert nofm(np.arange(8.0).reshape(2, 4), p).tolist() == [[3, 2], [3, 2]]
 
 
 def test_nofm_recovers_canonical_code():
-    # nofm(to_significance(c), params) is the identity on canonical codes
+    # nofm(to_significance(firing), params) is the identity on canonical codes
     rng = np.random.default_rng(5)
     p = CodeParams(256, 11, 0.9)
-    for _ in range(50):
-        c = random_code(p, rng)
-        back = nofm(to_significance(c), p)
-        assert back.firing_order == c.firing_order
+    firing = random_firing(50, p, rng)
+    assert np.array_equal(nofm(to_significance(firing, p), p), firing)
 
 
 def test_is_canonical():
@@ -226,10 +232,7 @@ def test_earlier_rank_agreement_dominates():
         order_b = [next(fill_b) if r not in shared_ranks_b else shared_ranks_b.index(r)
                    for r in range(3)]
         assert len(set(order_a) & set(order_b)) == k
-        return cosine_sim(
-            to_significance(RankOrderCode(p, tuple(order_a))),
-            to_significance(RankOrderCode(p, tuple(order_b))),
-        )
+        return cosine_sim(_row(p, order_a), _row(p, order_b))
 
     for k in (1, 2):
         placements = list(itertools.permutations(range(3), k))
@@ -283,8 +286,7 @@ def test_vector_norm_equals_linalg_norm_bit_for_bit(v):
 def test_vector_norm_of_canonical_codes_equals_linalg_norm():
     p = CodeParams(256, 11, 0.9)
     rng = np.random.default_rng(8)
-    for _ in range(200):
-        v = to_significance(random_code(p, rng))
+    for v in to_significance(random_firing(200, p, rng), p):
         assert vector_norm(v) == np.linalg.norm(v)
 
 
@@ -294,7 +296,7 @@ def test_nofm_rejects_non_finite_input(bad):
     v = np.arange(8.0)
     v[3] = bad  # a NaN used to be skipped silently: (7, 6, 5)
     with pytest.raises(ParameterError, match="non-finite"):
-        nofm(v, p)
+        nofm(v[None], p)
 
 
 def _lexsort_order(v, n):
@@ -309,7 +311,7 @@ _tied = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]), _entries)
 @given(v=arrays(np.float64, st.integers(1, 64), elements=_tied), data=st.data())
 def test_nofm_orders_by_value_then_lower_index(v, data):
     n = data.draw(st.integers(1, v.size))
-    order = nofm(v, CodeParams(v.size, n, 0.9)).firing_order
+    order = tuple(nofm(v[None], CodeParams(v.size, n, 0.9))[0].tolist())
     assert order == _lexsort_order(v, n)
     for a, b in zip(order, order[1:]):
         assert v[a] > v[b] or (v[a] == v[b] and a < b)
@@ -331,4 +333,4 @@ def test_nofm_invariant_to_positive_scale(v, exponent, data):
     # scaled vector has the same order and the same ties
     n = data.draw(st.integers(1, v.size))
     p = CodeParams(v.size, n, 0.9)
-    assert nofm(2.0**exponent * v, p).firing_order == nofm(v, p).firing_order
+    assert np.array_equal(nofm(2.0**exponent * v[None], p), nofm(v[None], p))

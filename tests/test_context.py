@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikeseq.codes import CodeParams, is_canonical, random_code, to_significance
+from spikeseq.codes import CodeParams, is_canonical, random_firing, to_significance
 from spikeseq.context import (
     ContextConfig,
     ContextState,
@@ -22,6 +22,16 @@ def _state(vector):
     """A block of one chain whose context is the vector."""
     vector = np.array(vector)
     return ContextState(vector[None], np.flatnonzero(vector)[None])
+
+
+def _drawn(p, rng):
+    """The significance row of one random code."""
+    return to_significance(random_firing(1, p, rng), p)[0]
+
+
+def _drawn_state(p, rng):
+    """A block of one chain whose context is a random code."""
+    return _state(_drawn(p, rng))
 
 
 def _update(prev, input_vec, cfg):
@@ -48,15 +58,11 @@ def test_start_state_is_empty_and_updates_carry_their_support():
     state = ContextState.start(m, 1)
     assert not state.vector.any() and state.support.size == 0
     for _ in range(20):
-        code = random_code(p, rng)
-        terms = input_terms(to_significance(code)[None], code.support[None], cfg)
+        firing = random_firing(1, p, rng)
+        terms = input_terms(to_significance(firing, p), np.sort(firing, axis=1), cfg)
         state = update_context(state, terms, cfg)
         assert state.support.dtype == np.intp
         assert np.array_equal(state.support[0], np.flatnonzero(state.vector[0]))
-    code = random_code(p, rng)
-    from_code = ContextState.from_code(code)
-    assert np.array_equal(from_code.vector[0], to_significance(code))
-    assert np.array_equal(from_code.support[0], np.flatnonzero(from_code.vector[0]))
 
 
 def test_gate_boundary_lambda_zero_ignores_history():
@@ -64,11 +70,8 @@ def test_gate_boundary_lambda_zero_ignores_history():
     p = CodeParams(m, n, 0.8)
     rng = np.random.default_rng(0)
     cfg = ContextConfig(0.0, random_projection(m, m, rng), random_projection(m, m, rng), p)
-    x = to_significance(random_code(p, rng))
-    states = [
-        _update(ContextState.from_code(random_code(p, rng)), x, cfg)
-        for _ in range(100)
-    ]
+    x = _drawn(p, rng)
+    states = [_update(_drawn_state(p, rng), x, cfg) for _ in range(100)]
     ref = states[0].vector
     assert all(np.array_equal(s.vector, ref) for s in states)
 
@@ -78,8 +81,8 @@ def test_gate_boundary_lambda_one_ignores_input():
     p = CodeParams(m, n, 0.8)
     rng = np.random.default_rng(1)
     cfg = ContextConfig(1.0, random_projection(m, m, rng), random_projection(m, m, rng), p)
-    prev = ContextState.from_code(random_code(p, rng))
-    outs = [_update(prev, to_significance(random_code(p, rng)), cfg) for _ in range(100)]
+    prev = _drawn_state(p, rng)
+    outs = [_update(prev, _drawn(p, rng), cfg) for _ in range(100)]
     ref = outs[0].vector
     assert all(np.array_equal(o.vector, ref) for o in outs)
 
@@ -89,9 +92,9 @@ def test_output_always_canonical():
     p = CodeParams(m, n, 0.9)
     rng = np.random.default_rng(2)
     cfg = ContextConfig.random(0.6, p, rng)
-    state = ContextState.from_code(random_code(p, rng))
+    state = _drawn_state(p, rng)
     for _ in range(50):
-        state = _update(state, to_significance(random_code(p, rng)), cfg)
+        state = _update(state, _drawn(p, rng), cfg)
         assert is_canonical(state.vector[0], p)
 
 
@@ -105,9 +108,9 @@ def test_histories_diverge_with_positive_gate():
     diverged = 0
     trials = 100
     for _ in range(trials):
-        shared = [to_significance(random_code(p, rng)) for _ in range(3)]
-        a = ContextState.from_code(random_code(p, rng))
-        b = ContextState.from_code(random_code(p, rng))
+        shared = [_drawn(p, rng) for _ in range(3)]
+        a = _drawn_state(p, rng)
+        b = _drawn_state(p, rng)
         for x in shared:
             a = _update(a, x, cfg)
             b = _update(b, x, cfg)

@@ -34,6 +34,18 @@ def test_params_validation():
         PosEncParams(8, 8, window=0.0)
 
 
+@pytest.mark.parametrize(
+    "seq_len, dim",
+    [(4.5, 4), (8, 4.0), (True, 4), (8, np.float64(4.0))],
+    ids=["float-length", "float-dim", "bool-length", "numpy-float-dim"],
+)
+def test_params_must_be_integers(seq_len, dim):
+    # PosEncParams(4.5, 4) used to encode 5 positions while spike_latency
+    # divided by 4.5
+    with pytest.raises(ParameterError, match="must be an integer"):
+        PosEncParams(seq_len, dim)
+
+
 @pytest.mark.parametrize("bad", [{"base": math.nan}, {"window": math.inf}])
 def test_params_reject_non_finite_base_and_window(bad):
     # either one makes every field of verify_isomorphism's report NaN

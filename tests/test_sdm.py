@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spikeseq.codes import CodeParams, cosine_sim, random_code, to_significance
+from spikeseq.codes import CodeParams, cosine_sim, random_firing, to_significance
 from spikeseq.context import ContextState
 from spikeseq.errors import NoActiveLocationError, ParameterError
 from spikeseq.sdm import (
@@ -15,7 +15,6 @@ from spikeseq.sdm import (
     AddressDecoder,
     CorrelationMatrix,
     _address_similarity,
-    _random_firing,
     calibrate_threshold,
     cmm_read,
     cmm_write,
@@ -30,6 +29,11 @@ def _decoder(seed=0, w=8, m=16, n=4, theta=0.5):
     return AddressDecoder.random(w, CodeParams(m, n, 0.9), theta, seed)
 
 
+def _drawn(p, rng):
+    """The significance row of one random code."""
+    return to_significance(random_firing(1, p, rng), p)[0]
+
+
 def _decode(ctx, dec):
     """decode_address of a block of one context vector, given its support."""
     return decode_address(ContextState(ctx[None], np.flatnonzero(ctx)[None]), dec)
@@ -38,7 +42,7 @@ def _decode(ctx, dec):
 def test_decode_matches_bruteforce_scan():
     dec = _decoder()
     rng = np.random.default_rng(42)
-    ctx = to_significance(random_code(dec.code_params, rng))
+    ctx = _drawn(dec.code_params, rng)
     act = _decode(ctx, dec)
     for k in range(dec.n_locations):
         sim = cosine_sim(ctx, dec.addresses[k])
@@ -51,7 +55,7 @@ def test_decode_matches_bruteforce_scan():
 def test_zero_threshold_activates_everything():
     dec = _decoder(theta=0.0)
     rng = np.random.default_rng(1)
-    ctx = to_significance(random_code(dec.code_params, rng))
+    ctx = _drawn(dec.code_params, rng)
     act = _decode(ctx, dec)
     raw = np.array([cosine_sim(ctx, dec.addresses[k]) for k in range(dec.n_locations)])
     assert np.allclose(act.weights[0], raw, atol=1e-12)
@@ -70,7 +74,7 @@ def test_write_idempotent_and_monotone():
     p = CodeParams(16, 4, 0.9)
     cmm = CorrelationMatrix.zeros(16, 8)
     act = ActivationPattern(rng.uniform(size=(1, 8)))
-    data = to_significance(random_code(p, rng))[None]
+    data = _drawn(p, rng)[None]
     before = cmm.w.copy()
     cmm_write(cmm, act, data)
     once = cmm.w.copy()
@@ -83,7 +87,7 @@ def test_write_order_independence():
     rng = np.random.default_rng(7)
     p = CodeParams(32, 5, 0.8)
     writes = [
-        (ActivationPattern(rng.uniform(size=(1, 12))), to_significance(random_code(p, rng))[None])
+        (ActivationPattern(rng.uniform(size=(1, 12))), _drawn(p, rng)[None])
         for _ in range(10)
     ]
     final = None
@@ -102,13 +106,13 @@ def test_single_pattern_exact_recall():
     rng = np.random.default_rng(5)
     p = CodeParams(64, 6, 0.9)
     dec = AddressDecoder.random(32, p, 0.2, seed=11)
-    ctx = to_significance(random_code(p, rng))
+    ctx = _drawn(p, rng)
     act = _decode(ctx, dec)
-    data_code = random_code(p, rng)
+    data_code = random_firing(1, p, rng)
     cmm = CorrelationMatrix.zeros(64, 32)
-    cmm_write(cmm, act, to_significance(data_code)[None])
+    cmm_write(cmm, act, to_significance(data_code, p))
     got, confidence = cmm_read(cmm, act, p)
-    assert tuple(got[0].tolist()) == data_code.firing_order
+    assert np.array_equal(got, data_code)
     assert confidence[0] == pytest.approx(act.totals[0])
 
 
@@ -151,7 +155,7 @@ def test_calibrated_threshold_hits_target_active_count():
     dec = AddressDecoder(dec0.addresses, theta, p, seed=21)
     rng = np.random.default_rng(23)
     counts = [
-        _decode(to_significance(random_code(p, rng)), dec).n_active
+        _decode(_drawn(p, rng), dec).n_active
         for _ in range(100)
     ]
     assert 8 <= float(np.mean(counts)) <= 24
@@ -166,7 +170,7 @@ def test_calibration_and_addressing_agree_on_the_probes():
     dec = AddressDecoder.random(512, p, 0.0, seed=21)
     dec.threshold = calibrate_threshold(dec, target_active=16, seed=22)
     counts = []
-    for order in _random_firing(_N_PROBES, p, np.random.default_rng(22)):
+    for order in random_firing(_N_PROBES, p, np.random.default_rng(22)):
         ctx = np.zeros(p.m_total)
         ctx[order] = p.significances
         sims = _address_similarity(ContextState(ctx[None], np.sort(order)[None]), dec)
@@ -184,20 +188,20 @@ def _recall_rate(n_patterns, seed, theta_target=16, metric="order"):
     cmm = CorrelationMatrix.zeros(256, 512)
     pairs = []
     for _ in range(n_patterns):
-        ctx = to_significance(random_code(p, rng))
-        data = random_code(p, rng)
+        ctx = _drawn(p, rng)
+        data = random_firing(1, p, rng)
         act = _decode(ctx, dec)
         if act.n_active == 0:
             continue
-        cmm_write(cmm, act, to_significance(data)[None])
-        pairs.append((act, data))
+        cmm_write(cmm, act, to_significance(data, p))
+        pairs.append((act, data[0].tolist()))
     hits = 0
     for act, data in pairs:
-        got = tuple(cmm_read(cmm, act, p)[0][0].tolist())
+        got = cmm_read(cmm, act, p)[0][0].tolist()
         if metric == "order":
-            hits += got == data.firing_order
+            hits += got == data
         else:
-            hits += set(got) == set(data.firing_order)
+            hits += set(got) == set(data)
     return hits / len(pairs)
 
 
@@ -261,15 +265,6 @@ def test_snapshot_rejects_garbage(tmp_path):
         load_memory(path)
 
 
-def test_random_decoder_draws_codes_like_random_code():
-    p = CodeParams(64, 6, 0.9)
-    rng = np.random.default_rng(17)
-    reference = np.stack([to_significance(random_code(p, rng)) for _ in range(40)])
-    dec = AddressDecoder.random(40, p, 0.3, seed=17)
-    assert np.array_equal(dec.addresses, reference)
-    assert dec.addresses.flags.f_contiguous
-
-
 @pytest.mark.parametrize("n_locations", [512, 4096])
 def test_active_set_matches_dense_reference_at_calibrated_threshold(n_locations):
     # the calibrated threshold is a cosine level that many contexts hit
@@ -282,7 +277,7 @@ def test_active_set_matches_dense_reference_at_calibrated_threshold(n_locations)
         assert np.array_equal(dec._row_norms, norms)
         rng = np.random.default_rng(seed)
         for _ in range(200):
-            ctx = to_significance(random_code(dec.code_params, rng))
+            ctx = _drawn(dec.code_params, rng)
             ref = (rows @ ctx) / (norms * np.linalg.norm(ctx))
             weights = _decode(ctx, dec).weights[0]
             active = ref >= dec.threshold
@@ -302,7 +297,7 @@ def test_decoder_rejects_degenerate_address_row(bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_decode_rejects_non_finite_context(bad):
     dec = _decoder()
-    ctx = to_significance(random_code(dec.code_params, np.random.default_rng(0)))
+    ctx = _drawn(dec.code_params, np.random.default_rng(0))
     ctx[0] = bad
     with pytest.raises(ParameterError, match="non-finite"):
         _decode(ctx, dec)
@@ -375,8 +370,12 @@ def test_firing_draws_equal_a_loop_of_permutations(n_locations):
         loop_rng = np.random.default_rng(seed)
         loop = [loop_rng.permutation(p.m_total)[: p.n_active] for _ in range(n_locations)]
         rng = np.random.default_rng(seed)
-        assert np.array_equal(_random_firing(n_locations, p, rng), np.array(loop))
+        assert np.array_equal(random_firing(n_locations, p, rng), np.array(loop))
         assert rng.random() == loop_rng.random()  # the generators end in one state
+        # a random decoder's addresses are the significance rows of these draws
+        dec = AddressDecoder.random(n_locations, p, 0.3, seed)
+        assert np.array_equal(dec.addresses, to_significance(np.array(loop), p))
+        assert dec.addresses.flags.f_contiguous
 
 
 def test_activation_pattern_carries_its_active_locations():
@@ -388,5 +387,5 @@ def test_activation_pattern_carries_its_active_locations():
     dec = _decoder(theta=0.2)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        act = _decode(to_significance(random_code(dec.code_params, rng)), dec)
+        act = _decode(_drawn(dec.code_params, rng), dec)
         assert np.array_equal(act.active[0], np.flatnonzero(act.weights[0]))

@@ -1,7 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from spikeseq.codes import CodeParams, RankOrderCode, to_significance
+from spikeseq.codes import CodeParams
 from spikeseq.errors import AlphabetError, DegenerateInputError, ParameterError
 from spikeseq.seqmachine import (
     Codebook,
@@ -21,7 +24,7 @@ def test_codebook_codes_distinct_and_roundtrip():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         cb = Codebook.random(26, CodeParams(256, 11, 0.9), rng)
-        assert len({c.firing_order for c in cb.codes}) == 26
+        assert len({tuple(order) for order in cb.firing.tolist()}) == 26
         for a in range(26):
             [sym], [margin] = decode_burst(cb, encode_symbol(cb, a)[None])
             assert sym == a
@@ -31,9 +34,9 @@ def test_codebook_codes_distinct_and_roundtrip():
 def test_encode_symbol_deterministic_golden():
     # pinned once from the seeded construction at seed 42
     m = SequenceMachine(seed=42)
-    assert m.codebook.codes[0].firing_order == (
+    assert m.codebook.firing[0].tolist() == [
         224, 149, 192, 55, 152, 112, 188, 187, 166, 12, 17,
-    )
+    ]
     m2 = SequenceMachine(seed=42)
     assert np.array_equal(encode_symbol(m.codebook, 0), encode_symbol(m2.codebook, 0))
 
@@ -51,7 +54,7 @@ def test_decode_drop_one_spike():
     cb = Codebook.random(26, CodeParams(256, 11, 0.9), rng)
     for a in range(26):
         full = encode_symbol(cb, a)
-        for idx in cb.codes[a].firing_order:
+        for idx in cb.firing[a]:
             damaged = full.copy()
             damaged[idx] = 0.0
             [sym], _ = decode_burst(cb, damaged[None])
@@ -60,7 +63,7 @@ def test_decode_drop_one_spike():
 
 def test_decode_tie_breaks_low_index():
     p = CodeParams(4, 1, 0.5)
-    cb = Codebook(p, [RankOrderCode(p, (0,)), RankOrderCode(p, (1,))])
+    cb = Codebook(p, np.array([[0], [1]]))
     burst = np.array([[1.0, 1.0, 0.0, 0.0]])
     [sym], [margin] = decode_burst(cb, burst)
     assert sym == 0
@@ -189,6 +192,63 @@ def test_codebook_larger_than_code_space_rejected():
         Codebook.random(5, p, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "firing, match",
+    [
+        (np.array([0, 1]), "block"),
+        (np.zeros((0, 2), dtype=np.intp), "at least one code"),
+        (np.array([[1]]), "expected N=2"),
+        (np.array([[0.0, 1.0]]), "integers"),
+        (np.array([[1, 4]]), r"\[0, 4\)"),
+        (np.array([[-1, 2]]), r"\[0, 4\)"),
+        (np.array([[1, 1]]), "indices of a code must be distinct"),
+        (np.array([[0, 1], [2, 3], [0, 1]]), "pairwise distinct"),
+    ],
+    ids=["not-2d", "empty", "width", "float-dtype", "index-above-m", "negative-index",
+         "repeated-index", "equal-rows"],
+)
+def test_codebook_rejects_invalid_firing(firing, match):
+    p = CodeParams(4, 2, 0.5)
+    with pytest.raises(ParameterError, match=match):
+        Codebook(p, firing)
+    assert Codebook(p, np.array([[1, 0], [0, 1], [3, 2]], dtype=np.uint8)).alphabet_size == 3
+
+
+def test_codebook_is_a_frozen_value():
+    cb = Codebook.random(5, CodeParams(16, 3, 0.9), np.random.default_rng(4))
+    assert cb.firing.dtype == np.intp and cb.firing.shape == (5, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cb.firing = cb.firing[:2]
+    for array in (cb.firing, cb.encode_matrix, cb.supports):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+
+
+def _loop_codebook(alphabet_size, p, rng):
+    """The codes of a loop of single draws that skips repeats."""
+    codes = []
+    while len(codes) < alphabet_size:
+        order = rng.permutation(p.m_total)[: p.n_active].tolist()
+        if order not in codes:
+            codes.append(order)
+    return codes
+
+
+@pytest.mark.parametrize("m_total, n_active", [(4, 1), (3, 2), (5, 2), (256, 11)])
+def test_codebook_random_equals_a_loop_of_single_draws(m_total, n_active):
+    # the block draw keeps first occurrences and draws only the missing codes
+    # per round, so it consumes the generator as the loop does; an alphabet
+    # of the whole code space draws duplicates in almost every round
+    p = CodeParams(m_total, n_active, 0.5)
+    n_codes = math.perm(m_total, n_active)
+    for size in sorted({1, 2, min(n_codes, 26), n_codes if n_codes <= 60 else 26}):
+        for seed in range(6):
+            loop_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = _loop_codebook(size, p, loop_rng)
+            assert Codebook.random(size, p, rng).firing.tolist() == want
+            assert rng.random() == loop_rng.random()  # the generators end in one state
+
+
 def test_empty_alphabet_rejected():
     with pytest.raises(ParameterError):
         Codebook.random(0, CodeParams(256, 11, 0.9), np.random.default_rng(0))
@@ -303,3 +363,27 @@ def test_learn_sequences_takes_any_lengths_and_matches_learning_one_by_one():
     assert batch.memory.w.tobytes() == serial.memory.w.tobytes()
     cues = [s[:1] for s in seqs if s]
     assert recall_sequences(batch, cues, 5) == [recall_sequence(serial, c, 5) for c in cues]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SequenceMachine(alphabet_size=2.5),
+        lambda: SequenceMachine(m_total=256.0),
+        lambda: SequenceMachine(n_active=11.0),
+        lambda: SequenceMachine(n_locations=512.0),
+        lambda: SequenceMachine(target_active=16.5),
+        lambda: SequenceMachine(target_active=True),
+        lambda: sample_sequences(np.random.default_rng(0), 2.5, 4, 26),
+        lambda: sample_sequences(np.random.default_rng(0), 2, 2.5, 26),
+        lambda: capacity_experiment(length=3.5),
+        lambda: capacity_experiment(n_seeds=1.5),
+    ],
+    ids=["alphabet_size", "m_total", "n_active", "n_locations", "target_active",
+         "target_active-bool", "n_sequences", "length", "capacity-length", "n_seeds"],
+)
+def test_count_parameters_must_be_integers(call):
+    # alphabet_size=2.5 built 3 codes and target_active=True meant 1; the
+    # others escaped as a raw TypeError
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call()
