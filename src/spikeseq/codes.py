@@ -50,6 +50,7 @@ FloatVector = NDArray[np.float64]
 IndexVector = NDArray[np.intp]
 
 _GATHER_BYTES = 1 << 18  # gathered matrix columns per support_matvec product
+_DRAW_BLOCK = 128  # rows permuted at once by random_firing
 
 
 @dataclass(frozen=True)
@@ -146,14 +147,19 @@ def random_firing(n: int, params: CodeParams, rng: np.random.Generator) -> Index
     """(n, N) uniform random firing orders, row k drawn as ``rng.permutation(M)[:N]``.
 
     Permuting each row of an (n, M) tile consumes the generator exactly as
-    n calls of ``rng.permutation(M)`` do. The tile is permuted in place and
-    holds the smallest integer type that fits an index, so that drawing
-    adds little memory next to the (n, M) float rows the draws fill.
+    n calls of ``rng.permutation(M)`` do. Rows are drawn in order, in blocks
+    of ``_DRAW_BLOCK`` rows of one reused index tile, so drawing keeps at
+    most one block of M indices next to the (n, N) result.
     """
-    index_type = np.min_scalar_type(params.m_total - 1)
-    tile = np.tile(np.arange(params.m_total, dtype=index_type), (n, 1))
-    rng.permuted(tile, axis=1, out=tile)
-    return tile[:, : params.n_active].astype(np.intp)
+    firing = np.empty((n, params.n_active), dtype=np.intp)
+    indices = np.arange(params.m_total)
+    tile = np.empty((min(n, _DRAW_BLOCK), params.m_total), dtype=np.intp)
+    for lo in range(0, n, _DRAW_BLOCK):
+        block = tile[: n - lo]
+        block[:] = indices
+        rng.permuted(block, axis=1, out=block)
+        firing[lo : lo + len(block)] = block[:, : params.n_active]
+    return firing
 
 
 def to_significance(firing: IndexVector, params: CodeParams, order: str = "C") -> FloatVector:

@@ -17,13 +17,18 @@ dot-product-vs-distance profiles.
 Order and rank checks sort one side only. A row of the second gram has the
 first row's stable descending order exactly when, at every step along that
 order, its value strictly falls, or ties with the position rising. Two rows
-have equal ``scipy.stats.rankdata`` ranks exactly when they have the same
-stable order and tie at the same steps along it: the tie groups are then the
-same positions, and a rank is the mean place of its group. So one sort
-decides both, and scipy ranks only the rows whose ranks differ. Grams are
+have equal average ranks exactly when they have the same stable order and
+tie at the same steps along it: the tie groups are then the same positions,
+and a rank is the mean place of its group. So one sort decides both, and
+only the rows whose ranks differ are ranked and correlated. Grams are
 compared in blocks of ``_ROW_BLOCK`` rows, so no (L, L) order, rank or mask
 matrix is made. A row or vector holding a non-finite value is argsorted or
-ranked in full on both sides, so NaN keeps argsort's and rankdata's handling.
+ranked in full on both sides, so NaN keeps argsort's and the ranks' handling.
+
+Ranks (``_rankdata``) and the Pearson coefficient (``_pearson``) are numpy
+copies of ``scipy.stats.rankdata`` and the statistic of
+``scipy.stats.pearsonr``, equal to them bit for bit, NaN included. scipy is
+the tests' oracle only: importing this module loads numpy and nothing more.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .codes import FloatVector
 from .errors import ParameterError, check_int
@@ -148,19 +152,60 @@ def _ranks_kept(order: np.ndarray, a: FloatVector, b: FloatVector) -> np.ndarray
     return kept & _finite_rows(a, b)
 
 
-def _spearman(x: FloatVector, y: FloatVector) -> float:
-    """Spearman rho; exactly 1.0 when the tie-aware rankings coincide.
+def _rankdata(x: FloatVector) -> FloatVector:
+    """``scipy.stats.rankdata(x)`` of a vector: 1-based ranks, each tie group
+    at the mean of its places; all NaN when x holds a NaN.
 
-    One sort of ``x`` decides that; scipy ranks only vectors whose ranks
-    differ or that hold a non-finite value.
+    The ranks are integers or halves, so they are exact.
+    """
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], y[:-1] != y[1:])))
+    counts = np.diff(starts, append=len(y))
+    ranks = np.empty(len(y))
+    ranks[order] = np.repeat((starts + 1) + (counts - 1) / 2, counts)
+    return ranks
+
+
+def _unit_deviations(x: FloatVector) -> FloatVector:
+    """x minus its mean, over its norm; the norm is taken of the deviations
+    scaled by the largest one, so it neither overflows nor underflows."""
+    xm = x - np.mean(x, axis=-1, keepdims=True)
+    xmax = np.max(np.abs(xm), axis=-1, keepdims=True)
+    # axis=-1, not the 1-D norm: that one is a dot product and rounds otherwise
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return xm / (xmax * np.linalg.norm(xm / xmax, axis=-1, keepdims=True))
+
+
+def _pearson(x: FloatVector, y: FloatVector) -> float:
+    """``scipy.stats.pearsonr(x, y).statistic`` of two float vectors of one
+    length of at least 2, bit for bit.
+
+    NaN when either is constant or the sums go non-finite; clipped to
+    [-1, 1], and rounded to +-1 at length 2. No p-value is computed.
+    """
+    if (x == x[0]).all() or (y == y[0]).all():
+        return math.nan
+    r = np.clip(np.vecdot(_unit_deviations(x), _unit_deviations(y)), -1.0, 1.0)
+    return float(np.round(r) if len(x) == 2 else r)
+
+
+def _spearman(x: FloatVector, y: FloatVector) -> float:
+    """Spearman rho: the Pearson coefficient of the two rank vectors;
+    exactly 1.0 when the tie-aware rankings coincide.
+
+    One sort of ``x`` decides that; only vectors whose ranks differ, or that
+    hold a non-finite value, are ranked and correlated.
     """
     if _ranks_kept(np.argsort(x)[::-1], x, y):
         return 1.0
-    rx = stats.rankdata(x)
-    ry = stats.rankdata(y)
+    rx = _rankdata(x)
+    ry = _rankdata(y)
     if np.array_equal(rx, ry):
         return 1.0
-    return float(stats.pearsonr(rx, ry).statistic)
+    return _pearson(rx, ry)
 
 
 @dataclass(frozen=True)
@@ -211,7 +256,7 @@ def verify_isomorphism(p: PosEncParams) -> IsomorphismReport:
     # the off-diagonal pairs i < j, row-major: the order of np.triu_indices
     upper = np.triu(np.ones((p.seq_len, p.seq_len), dtype=bool), k=1)
     x, y = g_pe[upper], g_stpe[upper]
-    pearson = float(stats.pearsonr(x, y).statistic)
+    pearson = _pearson(x, y)
     spearman = _spearman(x, y)
     return IsomorphismReport(max_abs_residual, max_gram_rel_error, pearson, spearman, scale)
 
@@ -239,8 +284,8 @@ def lemma1_rank_invariance(p: PosEncParams) -> RankInvarianceReport:
 
     Each row block of the PE gram is sorted once; along that order the STPE
     rows are checked for the same order and the same ranks. Only rows whose
-    ranks differ, or that hold a non-finite value, reach scipy's rankdata and
-    pearsonr; every other row scores Spearman 1.0.
+    ranks differ, or that hold a non-finite value, are ranked (``_rankdata``)
+    and correlated (``_pearson``); every other row scores Spearman 1.0.
 
     Float caveat: when T/L is a power of two (e.g. the default T=1 with
     L=128) the scaling is exact and argsort equality holds bit-for-bit;

@@ -35,6 +35,7 @@ holds its configuration and its memory, no state of a run.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -253,21 +254,22 @@ def _symbol_block(m: SequenceMachine, seqs: list[list[int]]) -> IndexVector:
     Python and numpy integers in the alphabet pass; anything else,
     ``bool`` included, raises AlphabetError.
     """
-    kinds = set()
-    for seq in seqs:
-        kinds.update(map(type, seq))
-    for kind in kinds:
+    flat = list(itertools.chain.from_iterable(seqs))
+    for kind in set(map(type, flat)):
         if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
-            bad = next(x for seq in seqs for x in seq if type(x) is kind)
+            bad = next(x for x in flat if type(x) is kind)
             raise AlphabetError(f"symbol {bad!r} is not an integer")
     size = m.codebook.alphabet_size
-    for seq in seqs:
-        if len(seq) and not (0 <= min(seq) and max(seq) < size):
-            bad = next(x for x in seq if not 0 <= x < size)
-            raise AlphabetError(f"symbol {bad} outside alphabet of size {size}")
-    block = np.zeros((len(seqs), max(map(len, seqs), default=0)), dtype=np.intp)
-    for row, seq in zip(block, seqs):
-        row[: len(seq)] = seq
+    if flat and not (0 <= min(flat) and max(flat) < size):
+        bad = next(x for x in flat if not 0 <= x < size)
+        raise AlphabetError(f"symbol {bad} outside alphabet of size {size}")
+    # exact: every symbol is an integer in [0, size)
+    values = np.fromiter(flat, dtype=np.intp, count=len(flat))
+    width = max(map(len, seqs), default=0)
+    if values.size == len(seqs) * width:
+        return values.reshape(len(seqs), width)
+    block = np.zeros((len(seqs), width), dtype=np.intp)
+    block[np.arange(width) < np.array([len(seq) for seq in seqs])[:, None]] = values
     return block
 
 

@@ -1,14 +1,23 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+import spikeseq
 from spikeseq.errors import ParameterError
 from spikeseq.posenc import (
     PosEncParams,
+    _pearson,
+    _rankdata,
     distance_profile,
     freq_compressed_pe,
     gram_matrix,
@@ -301,3 +310,94 @@ def test_checks_reject_an_encoding_that_is_not_a_matrix():
         rank_counterexample(v, v)
     with pytest.raises(ParameterError, match="shape"):
         distance_profile(v)
+
+
+# ------------------------------------------- rank and Pearson against scipy
+
+_SCALES = st.sampled_from([1e-200, 1e-100, 1.0, 1e100, 1e200])
+
+
+@st.composite
+def _vectors(draw, n):
+    """One length-n vector: normal, tied integers, a permutation of ranks or
+    constant, at magnitude 1e-200..1e200, with NaN or +-inf entries at times."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "ranks", "constant"]))
+    v = {
+        "normal": lambda: rng.normal(size=n),
+        "ties": lambda: rng.integers(-3, 4, n).astype(float),
+        "ranks": lambda: rng.permutation(n) + 1.0,
+        "constant": lambda: np.full(n, rng.normal()),
+    }[kind]() * draw(_SCALES)
+    odd = draw(st.sampled_from([None, None, math.nan, math.inf, -math.inf]))
+    if odd is not None:
+        v[rng.integers(0, n, draw(st.integers(1, 3)))] = odd
+    return v
+
+
+@st.composite
+def _vector_pairs(draw):
+    n = draw(st.integers(2, 300))
+    x = draw(_vectors(n))
+    # y is drawn alike, or x times a factor: |r| = 1 up to rounding, so clipped
+    factor = draw(st.sampled_from([None, None, 1.0, -2.5, 1e150]))
+    if factor is None:
+        return x, draw(_vectors(n))
+    with np.errstate(over="ignore"):  # 1e200 * 1e150 is inf, one more odd entry
+        return x, x * factor
+
+
+def _quietly(f, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # both warn on non-finite arithmetic
+        return f(*args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=_vector_pairs())
+@example(pair=(np.array([1.0, 2.0]), np.array([3.0, 5.0])))
+@example(pair=(np.array([1.0, 2.0]), np.array([5.0, -3.0])))
+@example(pair=(np.array([1.0, 1.0, 2.0]), np.array([4.0, 4.0, 4.0])))
+@example(pair=(np.array([-5e210, 5e210, 3e200, -3e200]), np.array([1.0, 2.0, 3.0, 5.0])))
+def test_pearson_equals_scipy(pair):
+    x, y = pair
+    got, want = _quietly(_pearson, x, y), _quietly(stats.pearsonr, x, y).statistic
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=_vector_pairs())
+def test_rankdata_equals_scipy(pair):
+    for v in pair:
+        got = _rankdata(v)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, stats.rankdata(v), equal_nan=True)
+
+
+def test_verify_isomorphism_pearson_equals_scipy_at_figure_size():
+    # the L=1024 off-diagonals verify_isomorphism correlates: 523,776 pairs
+    p = PosEncParams(1024, 64)
+    upper = np.triu(np.ones((1024, 1024), dtype=bool), k=1)
+    x, y = gram_matrix(sinusoidal_pe(p))[upper], gram_matrix(spike_timing_pe(p))[upper]
+    assert verify_isomorphism(p).pearson_r == _pearson(x, y) == stats.pearsonr(x, y).statistic
+    rx, ry = _rankdata(x), _rankdata(y)
+    assert np.array_equal(rx, stats.rankdata(x)) and np.array_equal(ry, stats.rankdata(y))
+
+
+def test_importing_spikeseq_loads_no_scipy():
+    # scipy is the tests' oracle only: importing it takes about a second
+    code = (
+        "import importlib, pkgutil, sys, spikeseq\n"
+        "for m in pkgutil.iter_modules(spikeseq.__path__):\n"
+        "    importlib.import_module('spikeseq.' + m.name)\n"
+        "print('spikeseq.posenc' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    src = str(Path(spikeseq.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["True", "[]"]

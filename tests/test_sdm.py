@@ -363,7 +363,8 @@ def test_write_idempotent_and_order_independent(shape, data):
     assert np.array_equal(cmm.w, start)
 
 
-@pytest.mark.parametrize("n_locations", [512, 4096])
+# random_firing permutes blocks of 128 rows: sizes on both sides of one block
+@pytest.mark.parametrize("n_locations", [1, 26, 127, 128, 129, 200, 512, 4096])
 def test_firing_draws_equal_a_loop_of_permutations(n_locations):
     p = CodeParams(256, 11, 0.9)
     for seed in range(4):

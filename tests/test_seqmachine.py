@@ -325,6 +325,23 @@ def test_non_integer_steps_raise_parameter_error(steps):
         recall_sequence(m, [1], steps)
 
 
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda m: learn_sequence(m, [0, 26, 3]), "26"),
+        (lambda m: learn_sequences(m, [[0, 1, 2], [1, -1, 40]]), "-1"),
+        (lambda m: recall_sequence(m, [np.int64(30)], 3), "30"),
+        (lambda m: learn_sequence(m, [2**70, 1]), str(2**70)),
+    ],
+    ids=["learn", "ragged-batch-first-bad", "numpy-recall", "beyond-int64"],
+)
+def test_out_of_range_symbols_raise_alphabet_error(call, bad):
+    m = SequenceMachine(seed=9)
+    with pytest.raises(AlphabetError, match=f"^symbol {bad} outside alphabet of size 26$"):
+        call(m)
+    assert not m.memory.w.any()
+
+
 def test_numpy_integer_symbols_and_steps_pass():
     m1, m2 = SequenceMachine(seed=10), SequenceMachine(seed=10)
     learn_sequence(m1, [0, 1, 2, 3])
