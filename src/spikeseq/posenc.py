@@ -25,6 +25,15 @@ compared in blocks of ``_ROW_BLOCK`` rows, so no (L, L) order, rank or mask
 matrix is made. A row or vector holding a non-finite value is argsorted or
 ranked in full on both sides, so NaN keeps argsort's and the ranks' handling.
 
+The stable descending order of a finite row is numpy's default argsort,
+which is SIMD (AVX-512 or AVX2 where the CPU has it) but unstable, followed
+by a repair that re-sorts only the positions inside each run of equal
+values to ascending index; the result equals the stable sort bit for bit.
+A row holding a non-finite value takes the stable sort itself.
+``verify_isomorphism`` takes its relative error over row blocks too, and
+frees each gram once its off-diagonal pairs are read, so it holds at most
+two grams.
+
 Ranks (``_rankdata``) and the Pearson coefficient (``_pearson``) are numpy
 copies of ``scipy.stats.rankdata`` and the statistic of
 ``scipy.stats.pearsonr``, equal to them bit for bit, NaN included. scipy is
@@ -34,6 +43,7 @@ the tests' oracle only: importing this module loads numpy and nothing more.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +82,19 @@ class PosEncParams:
         if not (0 < self.base < math.inf and 0 < self.window < math.inf):
             raise ParameterError(
                 f"base and window must be positive and finite, got {self.base}, {self.window}"
+            )
+        # the spike-timing gram is (T/L)^2 times the sinusoidal one, whose
+        # entries reach the self-dot d/2, and the checks sum up to L^2 of
+        # them: the scale must be a normal float and those sums finite
+        try:
+            scale = (self.window / self.seq_len) ** 2
+            largest_sum = scale * (self.dim / 2) * self.seq_len**2
+        except OverflowError:  # float ** raises where * gives inf
+            scale = largest_sum = math.inf
+        if not (sys.float_info.min <= scale and largest_sum < math.inf):
+            raise ParameterError(
+                f"window {self.window} puts the spike-timing gram out of the float range: "
+                "(T/L)^2 must be a normal float and (T/L)^2 * (d/2) * L^2 finite"
             )
 
     @property
@@ -119,37 +142,77 @@ def gram_matrix(e: FloatVector) -> FloatVector:
 _ROW_BLOCK = 128  # rows compared at once: (128, L) temporaries, never (L, L)
 
 
-def _query_orders(g: FloatVector) -> np.ndarray:
-    """Per query (row), the positions by descending logit, ties to the lower."""
-    return np.argsort(-g, axis=1, kind="stable")
+def _query_orders(g: FloatVector) -> tuple[np.ndarray, FloatVector]:
+    """Per query (row), the positions by descending logit, ties to the lower,
+    and the row's values in that order.
+
+    Equal to ``np.argsort(-g, axis=1, kind="stable")`` bit for bit. Finite
+    rows take numpy's default (SIMD) sort, and only the positions inside each
+    run of equal values are re-sorted to ascending index; a row holding a
+    non-finite value takes the stable sort, so NaN keeps its handling.
+    """
+    neg = -g
+    order = np.argsort(neg, axis=1)
+    s = np.take_along_axis(neg, order, axis=1)
+    # the default sort puts NaN last, so the ends show every non-finite row
+    odd = ~(np.isfinite(s[:, 0]) & np.isfinite(s[:, -1]))
+    if odd.any():
+        order[odd] = np.argsort(neg[odd], axis=1, kind="stable")
+        s[odd] = np.take_along_axis(neg[odd], order[odd], axis=1)
+    tie = np.zeros(s.shape, dtype=bool)  # tie[:, j]: s[:, j] equals s[:, j - 1]
+    np.equal(s[:, 1:], s[:, :-1], out=tie[:, 1:])
+    if tie.any():
+        member = tie.copy()
+        member[:, :-1] |= tie[:, 1:]
+        at = np.flatnonzero(member)
+        # runs are contiguous and numbered in place order, so sorting
+        # (run, position) keys puts each run's positions back in its own
+        # slots, ascending
+        L = g.shape[1]
+        run = np.cumsum(~tie.ravel()[at])
+        key = run * L + order.ravel()[at]
+        key.sort()
+        key %= L
+        order.ravel()[at] = key
+        # equal values but for the sign of a zero: gathered again
+        s.ravel()[at] = neg.ravel()[at - at % L + key]
+    np.negative(s, out=s)
+    return order, s
 
 
 def _finite_rows(a: FloatVector, b: FloatVector) -> np.ndarray:
     return np.isfinite(a).all(axis=-1) & np.isfinite(b).all(axis=-1)
 
 
-def _orders_kept(order: np.ndarray, a: FloatVector, b: FloatVector) -> np.ndarray:
-    """Per row of a block: is ``order``, the stable descending order of ``a``,
-    also that of ``b``? Rows holding a non-finite value are argsorted."""
+def _block_checks(a: FloatVector, b: FloatVector) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a block of two grams: does ``b`` have ``a``'s stable
+    descending order, and does it have ``a``'s rankdata ranks?
+
+    Along ``a``'s order a row of ``b`` keeps the order when it strictly
+    falls or ties with the position rising, and keeps the ranks when it ties
+    exactly where ``a`` ties and strictly falls elsewhere. Rows holding a
+    non-finite value have their orders compared by argsorting ``b``, and
+    never keep their ranks.
+    """
+    order, sa = _query_orders(a)
     sb = np.take_along_axis(b, order, axis=1)
+    finite = _finite_rows(a, b)
     falls, ties = sb[:, :-1] > sb[:, 1:], sb[:, :-1] == sb[:, 1:]
-    kept = (falls | ties & (order[:, :-1] < order[:, 1:])).all(axis=1)
-    odd = ~_finite_rows(a, b)
+    orders_kept = (falls | ties & (order[:, :-1] < order[:, 1:])).all(axis=1)
+    odd = ~finite
     if odd.any():
-        kept[odd] = (order[odd] == _query_orders(b[odd])).all(axis=1)
-    return kept
+        orders_kept[odd] = (order[odd] == _query_orders(b[odd])[0]).all(axis=1)
+    return orders_kept, _ranks_kept(sa, sb, finite)
 
 
-def _ranks_kept(order: np.ndarray, a: FloatVector, b: FloatVector) -> np.ndarray:
+def _ranks_kept(sa: FloatVector, sb: FloatVector, finite: np.ndarray) -> np.ndarray:
     """Per row (or for one vector): do ``a`` and ``b`` have equal rankdata
-    ranks, given ``order`` sorting ``a`` descending with ties in any order?
-    False where a non-finite value is held."""
-    sa = np.take_along_axis(a, order, axis=-1)
-    sb = np.take_along_axis(b, order, axis=-1)
+    ranks, given ``sa`` and ``sb``, both along one order that sorts ``a``
+    descending with ties in any order? False where ``finite`` is not."""
     kept = np.where(
         sa[..., :-1] == sa[..., 1:], sb[..., :-1] == sb[..., 1:], sb[..., :-1] > sb[..., 1:]
     ).all(axis=-1)
-    return kept & _finite_rows(a, b)
+    return kept & finite
 
 
 def _rankdata(x: FloatVector) -> FloatVector:
@@ -173,10 +236,14 @@ def _unit_deviations(x: FloatVector) -> FloatVector:
     """x minus its mean, over its norm; the norm is taken of the deviations
     scaled by the largest one, so it neither overflows nor underflows."""
     xm = x - np.mean(x, axis=-1, keepdims=True)
-    xmax = np.max(np.abs(xm), axis=-1, keepdims=True)
-    # axis=-1, not the 1-D norm: that one is a dot product and rounds otherwise
+    xmax = np.maximum(xm.max(axis=-1, keepdims=True), -xm.min(axis=-1, keepdims=True))
     with np.errstate(invalid="ignore", divide="ignore"):
-        return xm / (xmax * np.linalg.norm(xm / xmax, axis=-1, keepdims=True))
+        sq = np.divide(xm, xmax)
+        # np.linalg.norm(axis=-1) is sqrt(add.reduce(x * x)), squared here in
+        # place; the 1-D norm is a dot product and rounds otherwise
+        np.multiply(sq, sq, out=sq)
+        xm /= xmax * np.sqrt(np.add.reduce(sq, axis=-1, keepdims=True))
+    return xm
 
 
 def _pearson(x: FloatVector, y: FloatVector) -> float:
@@ -199,7 +266,8 @@ def _spearman(x: FloatVector, y: FloatVector) -> float:
     One sort of ``x`` decides that; only vectors whose ranks differ, or that
     hold a non-finite value, are ranked and correlated.
     """
-    if _ranks_kept(np.argsort(x)[::-1], x, y):
+    order = np.argsort(x)[::-1]
+    if _ranks_kept(x[order], y[order], _finite_rows(x, y)):
         return 1.0
     rx = _rankdata(x)
     ry = _rankdata(y)
@@ -242,20 +310,27 @@ def verify_isomorphism(p: PosEncParams) -> IsomorphismReport:
     scale = (p.window / p.seq_len) ** 2
     g_pe = gram_matrix(sinusoidal_pe(p))
     g_stpe = gram_matrix(spike_timing_pe(p))
-    # |g_stpe - scale g_pe| / max(|scale g_pe|, 1e-300), with two (L, L)
-    # temporaries worked in place
-    scaled = scale * g_pe
-    err = np.subtract(g_stpe, scaled)
-    np.abs(err, out=err)
-    np.abs(scaled, out=scaled)
-    np.maximum(scaled, 1e-300, out=scaled)
-    err /= scaled
-    max_gram_rel_error = float(np.max(err))
+    # |g_stpe - scale g_pe| / max(|scale g_pe|, 1e-300) over row blocks; the
+    # max of the block maxima propagates NaN as one np.max would
+    block_max = []
+    for lo in range(0, p.seq_len, _ROW_BLOCK):
+        scaled = scale * g_pe[lo : lo + _ROW_BLOCK]
+        err = np.subtract(g_stpe[lo : lo + _ROW_BLOCK], scaled)
+        np.abs(err, out=err)
+        np.abs(scaled, out=scaled)
+        np.maximum(scaled, 1e-300, out=scaled)
+        err /= scaled
+        block_max.append(np.max(err))
+    max_gram_rel_error = float(np.max(block_max))
     del scaled, err
 
-    # the off-diagonal pairs i < j, row-major: the order of np.triu_indices
+    # the off-diagonal pairs i < j, row-major: the order of np.triu_indices;
+    # each gram is freed once its pairs are read
     upper = np.triu(np.ones((p.seq_len, p.seq_len), dtype=bool), k=1)
-    x, y = g_pe[upper], g_stpe[upper]
+    x = g_pe[upper]
+    del g_pe
+    y = g_stpe[upper]
+    del g_stpe, upper
     pearson = _pearson(x, y)
     spearman = _spearman(x, y)
     return IsomorphismReport(max_abs_residual, max_gram_rel_error, pearson, spearman, scale)
@@ -269,10 +344,12 @@ class RankInvarianceReport:
     min_softmax_peak_ratio: float  # max PE softmax weight / max STPE weight, per query
 
 
-def _row_softmax(logits: FloatVector) -> FloatVector:
+def _softmax_peak(logits: FloatVector) -> FloatVector:
+    """Each row's largest softmax weight, ``1 / sum(exp(z))`` with ``z`` the
+    row less its maximum: the largest term is exp(0) = 1, so this equals the
+    largest of the normalised weights bit for bit."""
     z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return 1.0 / np.exp(z, out=z).sum(axis=1)
 
 
 def lemma1_rank_invariance(p: PosEncParams) -> RankInvarianceReport:
@@ -303,11 +380,11 @@ def _rank_invariance(g_a: FloatVector, g_b: FloatVector) -> RankInvarianceReport
     peak_ratio = np.empty(L)
     for lo in range(0, L, _ROW_BLOCK):
         a, b = g_a[lo : lo + _ROW_BLOCK], g_b[lo : lo + _ROW_BLOCK]
-        order = _query_orders(a)
-        orders_equal = orders_equal and bool(_orders_kept(order, a, b).all())
-        for q in np.flatnonzero(~_ranks_kept(order, a, b)):
+        orders_kept, ranks_kept = _block_checks(a, b)
+        orders_equal = orders_equal and bool(orders_kept.all())
+        for q in np.flatnonzero(~ranks_kept):
             spearmans[lo + q] = _spearman(a[q], b[q])
-        peak_ratio[lo : lo + len(a)] = _row_softmax(a).max(axis=1) / _row_softmax(b).max(axis=1)
+        peak_ratio[lo : lo + len(a)] = _softmax_peak(a) / _softmax_peak(b)
     return RankInvarianceReport(
         orders_equal,
         bool(np.array_equal(np.argmax(g_a, axis=1), np.argmax(g_b, axis=1))),
@@ -328,7 +405,7 @@ def rank_counterexample(a: FloatVector, b: FloatVector) -> int | None:
     g_a, g_b = gram_matrix(a), gram_matrix(b)
     for lo in range(0, g_a.shape[0], _ROW_BLOCK):
         ba, bb = g_a[lo : lo + _ROW_BLOCK], g_b[lo : lo + _ROW_BLOCK]
-        kept = _orders_kept(_query_orders(ba), ba, bb)
+        kept, _ = _block_checks(ba, bb)
         if not kept.all():
             return lo + int(kept.argmin())
     return None
@@ -340,4 +417,5 @@ def distance_profile(e: FloatVector) -> list[tuple[int, float]]:
     delta = 0 is included as the self-similarity reference.
     """
     g = gram_matrix(e)
-    return [(delta, float(np.mean(g.diagonal(delta)))) for delta in range(e.shape[0])]
+    L = e.shape[0]
+    return [(delta, float(np.add.reduce(g.diagonal(delta)) / (L - delta))) for delta in range(L)]

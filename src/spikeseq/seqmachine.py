@@ -248,13 +248,20 @@ class SequenceMachine:
         self.memory = CorrelationMatrix.zeros(m_total, n_locations)
 
 
-def _symbol_block(m: SequenceMachine, seqs: list[list[int]]) -> IndexVector:
-    """The sequences as the rows of a (B, L) index block, zero-padded to the longest.
+def _symbol_block(m: SequenceMachine, seqs: list[list[int]]) -> tuple[IndexVector, list[int]]:
+    """The sequences as the rows of a (B, L) index block, zero-padded to the
+    longest, and the length of each.
 
-    Python and numpy integers in the alphabet pass; anything else,
-    ``bool`` included, raises AlphabetError.
+    ``seqs`` that is not a collection of symbol sequences raises
+    ParameterError. Python and numpy integers in the alphabet pass as
+    symbols; anything else, ``bool`` included, raises AlphabetError.
     """
-    flat = list(itertools.chain.from_iterable(seqs))
+    try:
+        seqs = list(seqs)
+        lengths = [len(seq) for seq in seqs]
+        flat = list(itertools.chain.from_iterable(seqs))
+    except TypeError:
+        raise ParameterError(f"expected a list of symbol lists, got {seqs!r:.60}") from None
     for kind in set(map(type, flat)):
         if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
             bad = next(x for x in flat if type(x) is kind)
@@ -265,12 +272,12 @@ def _symbol_block(m: SequenceMachine, seqs: list[list[int]]) -> IndexVector:
         raise AlphabetError(f"symbol {bad} outside alphabet of size {size}")
     # exact: every symbol is an integer in [0, size)
     values = np.fromiter(flat, dtype=np.intp, count=len(flat))
-    width = max(map(len, seqs), default=0)
+    width = max(lengths, default=0)
     if values.size == len(seqs) * width:
-        return values.reshape(len(seqs), width)
+        return values.reshape(len(seqs), width), lengths
     block = np.zeros((len(seqs), width), dtype=np.intp)
-    block[np.arange(width) < np.array([len(seq) for seq in seqs])[:, None]] = values
-    return block
+    block[np.arange(width) < np.array(lengths)[:, None]] = values
+    return block, lengths
 
 
 def learn_sequences(m: SequenceMachine, seqs: list[list[int]]) -> SequenceMachine:
@@ -282,10 +289,11 @@ def learn_sequences(m: SequenceMachine, seqs: list[list[int]]) -> SequenceMachin
     length-1 sequences leave the memory untouched. The memory is the one
     that learning the sequences one by one leaves, bit for bit.
     """
+    symbols, lengths = _symbol_block(m, seqs)
     # longest first, so that the chains still running form a leading slice
-    seqs = sorted(seqs, key=len, reverse=True)
-    symbols = _symbol_block(m, seqs)
-    negated = [-len(seq) for seq in seqs]  # ascending
+    rows = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    symbols = symbols[rows]
+    negated = [-lengths[r] for r in rows]  # ascending
     # running[t - 1]: how many chains have a symbol at position t
     running = [bisect.bisect_left(negated, -t) for t in range(1, symbols.shape[1])]
     state = ContextState.start(m.params.m_total, running[0] if running else 0)
@@ -319,19 +327,20 @@ def recall_sequences(
     returns, bit for bit.
     """
     check_int("steps", steps, 0)
-    if not cues:
+    symbols, lengths = _symbol_block(m, cues)
+    if not lengths:
         return []
-    if len({len(c) for c in cues}) > 1:
+    if len(set(lengths)) > 1:
         raise ParameterError("recall cues must share one length")
-    if any(len(c) == 0 for c in cues):
+    if lengths[0] == 0:
         raise ParameterError("recall needs at least one seed symbol")
-    symbols = _symbol_block(m, cues)
-    state = ContextState.start(m.params.m_total, len(cues))
+    n = len(lengths)
+    state = ContextState.start(m.params.m_total, n)
     for column in symbols.T:
         state = update_context(state, m.input_table[column], m.context_cfg)
-    out: list[list[RecallStep]] = [[] for _ in cues]
-    halts: list[str | None] = [None] * len(cues)
-    live = list(range(len(cues)))  # the chain of each row of the block
+    out: list[list[RecallStep]] = [[] for _ in range(n)]
+    halts: list[str | None] = [None] * n
+    live = list(range(n))  # the chain of each row of the block
     for step in range(steps):
         act = decode_address(state, m.decoder)
         counts = act.counts

@@ -17,6 +17,7 @@ from spikeseq.errors import ParameterError
 from spikeseq.posenc import (
     PosEncParams,
     _pearson,
+    _query_orders,
     _rankdata,
     distance_profile,
     freq_compressed_pe,
@@ -53,6 +54,37 @@ def test_params_must_be_integers(seq_len, dim):
     # divided by 4.5
     with pytest.raises(ParameterError, match="must be an integer"):
         PosEncParams(seq_len, dim)
+
+
+@pytest.mark.parametrize(
+    "L, d, window",
+    [(8, 4, 1e300), (8, 4, 1e-300), (8, 4, 8 * 2.0**-512), (8, 4, 8 * 2.0**511),
+     (8, 2**1100, 1.0)],
+    ids=["overflow", "underflow", "subnormal-scale", "sum-overflow", "huge-dim"],
+)
+def test_params_reject_a_window_out_of_float_range(L, d, window):
+    # 1e300 raised a raw OverflowError in verify_isomorphism; 1e-300 made the
+    # spike-timing gram zero, so the correlations read NaN and Lemma 1 "failed";
+    # 8 * 2**511 leaves (T/L)^2 * d/2 finite but overflowed the mean of the
+    # off-diagonals, a NaN Pearson coefficient
+    with pytest.raises(ParameterError, match="float range"):
+        PosEncParams(L, d, window=window)
+
+
+@pytest.mark.parametrize("window", [8 * 2.0**-511, 8 * 2.0**508], ids=["smallest", "largest"])
+def test_params_at_the_float_range_bounds_give_finite_reports(window):
+    # the smallest and largest powers of two accepted at L=8, d=4: (T/L)^2 is
+    # 2**-1022, the smallest normal float, or 2**1016, where
+    # (T/L)^2 * (d/2) * L^2 = 2**1023
+    p = PosEncParams(8, 4, window=window)
+    iso = verify_isomorphism(p)
+    assert all(math.isfinite(v) for v in vars(iso).values())
+    assert iso.max_gram_rel_error <= 1e-12 and iso.pearson_r >= 0.999999
+    lemma = lemma1_rank_invariance(p)
+    # products below the normal range round as a generic window's logits do
+    assert lemma.all_argmaxes_equal and lemma.min_query_spearman >= 0.98
+    assert math.isfinite(lemma.min_softmax_peak_ratio)
+    assert all(math.isfinite(v) for _, v in distance_profile(spike_timing_pe(p)))
 
 
 @pytest.mark.parametrize("bad", [{"base": math.nan}, {"window": math.inf}])
@@ -213,8 +245,8 @@ def test_lemma1_generic_windows_up_to_tied_logits():
 @pytest.mark.parametrize("check", ["lemma1_rank_invariance", "rank_counterexample"])
 def test_rank_checks_peak_memory(check):
     # the two (L, L) float64 grams take 16 MiB at L=1024; the checks compare
-    # them in row blocks, while ranking or argsorting whole grams would make
-    # (L, L) rank or order matrices on top and pass 6 gram sizes (48 MiB)
+    # them in row blocks of a few (128, L) arrays each (about 20 MiB in all),
+    # while one whole (L, L) order or rank matrix on top passes 24 MiB
     p = PosEncParams(1024, 64)
     pe, stpe = sinusoidal_pe(p), spike_timing_pe(p)
     run = {
@@ -227,13 +259,14 @@ def test_rank_checks_peak_memory(check):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 1024 * 1024 * 8
+    assert peak <= 24 * 1024 * 1024
 
 
 def test_verify_isomorphism_peak_memory():
     # the two (L, L) float64 grams take 16 MiB at L=1024; the relative error
-    # works in two more gram-sized arrays in place, where three temporaries at
-    # once and two np.triu_indices builds passed 48 MiB
+    # is taken over row blocks and each gram is freed once its off-diagonals
+    # are read (about 23 MiB), where two gram-sized temporaries for the
+    # relative error passed 39 MiB
     p = PosEncParams(1024, 64)
     tracemalloc.start()
     try:
@@ -241,7 +274,43 @@ def test_verify_isomorphism_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 45 * 1024 * 1024
+    assert peak <= 28 * 1024 * 1024
+
+
+@st.composite
+def _logit_blocks(draw):
+    """A (rows, L) block: normal, rounded to few values, or small integers,
+    with repeated columns, zeros of both signs, and rows holding +-inf or NaN
+    at times; L on both sides of the 128-row block width, or drawn."""
+    L = draw(st.one_of(st.sampled_from([2, 127, 128, 129, 300]), st.integers(2, 300)))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = {
+        "normal": lambda: rng.normal(size=(rows, L)),
+        "rounded": lambda: np.round(rng.normal(size=(rows, L)), 1),
+        "ints": lambda: rng.integers(-2, 3, (rows, L)).astype(float),
+    }[draw(st.sampled_from(["normal", "rounded", "ints"]))]()
+    if draw(st.booleans()):  # repeated columns: every row ties there
+        g[:, rng.integers(0, L, L // 2)] = g[:, rng.integers(0, L, L // 2)]
+    if draw(st.booleans()):
+        g[rng.random((rows, L)) < 0.2] = 0.0
+        g[rng.random((rows, L)) < 0.2] = -0.0
+    for value in draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3)):
+        g[rng.integers(0, rows), rng.integers(0, L, draw(st.integers(1, 3)))] = value
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_logit_blocks())
+@example(g=np.zeros((2, 129)))
+@example(g=np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]]))
+@example(g=np.array([[math.nan, 1.0, math.nan, 1.0], [math.inf, -math.inf, math.inf, 0.0]]))
+def test_query_orders_equal_the_stable_argsort(g):
+    order, values = _query_orders(g)
+    want = np.argsort(-g, axis=1, kind="stable")
+    assert order.dtype == want.dtype and np.array_equal(order, want)
+    # bit for bit: signed zeros and NaN payloads are the gathered entries
+    assert values.tobytes() == np.take_along_axis(g, want, axis=1).tobytes()
 
 
 def test_freq_compressed_breaks_rank_order():

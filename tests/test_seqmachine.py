@@ -371,6 +371,28 @@ def test_recall_sequences_validates_its_cues():
         recall_sequences(m, [[], []], 3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: learn_sequences(m, 5),
+        lambda m: learn_sequences(m, [5]),
+        lambda m: learn_sequences(m, [[0, 1], 2]),
+        lambda m: learn_sequence(m, None),
+        lambda m: recall_sequences(m, [3], 2),
+        lambda m: recall_sequences(m, 3, 2),
+        lambda m: recall_sequence(m, 3, 2),
+    ],
+    ids=["learn-int", "learn-int-list", "learn-mixed", "learn-none", "recall-int-list",
+         "recall-int", "recall-one-int"],
+)
+def test_sequences_that_are_not_symbol_lists_raise_parameter_error(call):
+    # each raised a raw TypeError from sorting by len or reading a cue's length
+    m = SequenceMachine(seed=9)
+    with pytest.raises(ParameterError, match="list of symbol lists"):
+        call(m)
+    assert not m.memory.w.any()
+
+
 def test_learn_sequences_takes_any_lengths_and_matches_learning_one_by_one():
     seqs = [[], [4], [0, 1, 2, 3, 4, 5], [7, 8], [0, 1, 2, 3, 4, 5], [9, 10, 11]]
     batch, serial = SequenceMachine(seed=12), SequenceMachine(seed=12)
