@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateInputError, ParameterError, check_int
+from .errors import DegenerateInputError, ParameterError, check_float, check_int
 
 __all__ = [
     "CodeParams",
@@ -70,8 +70,7 @@ class CodeParams:
             raise ParameterError(
                 f"need n_active <= m_total, got N={self.n_active}, M={self.m_total}"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", check_float("alpha", self.alpha, 0.0, 1.0))
         sig = self.alpha ** np.arange(self.n_active, dtype=np.float64)
         sig.flags.writeable = False
         object.__setattr__(self, "significances", sig)

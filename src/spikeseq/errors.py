@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the number checks that raise one."""
+
+import math
 
 import numpy as np
 
@@ -36,3 +38,20 @@ def check_int(name: str, value: object, low: int, high: int | None = None) -> No
         raise ParameterError(f"{name} must be at least {low}, got {value}")
     if high is not None and value >= high:
         raise ParameterError(f"{name} must be below {high}, got {value}")
+
+
+def check_float(name: str, value: object, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a float; ParameterError unless it is a Python or numpy
+    integer or float in the open interval (low, high), so never NaN or +-inf.
+
+    ``bool`` is not a number here, and an integer past the float range is
+    out of every interval.
+    """
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.nan
+    if not low < x < high:
+        raise ParameterError(f"{name} must be a finite number in ({low}, {high}), got {value!r}")
+    return x

@@ -14,6 +14,13 @@ Verification helpers check the exact pairwise phase-difference identity, the
 (T/L)^2 gram scaling, rank preservation of positional attention logits, and
 dot-product-vs-distance profiles.
 
+Lemma 1 is a statement about the order of finite logits, so the checks take
+finite encodings only. ``gram_matrix`` is their one input boundary: every
+check reaches its grams through it, and it raises ParameterError for an
+encoding that is not a 2-D numeric array or whose gram holds a non-finite
+entry (a NaN or infinite entry, or rows whose dot products overflow). Past
+it every value is finite.
+
 Order and rank checks sort one side only. A row of the second gram has the
 first row's stable descending order exactly when, at every step along that
 order, its value strictly falls, or ties with the position rising. Two rows
@@ -22,21 +29,19 @@ tie at the same steps along it: the tie groups are then the same positions,
 and a rank is the mean place of its group. So one sort decides both, and
 only the rows whose ranks differ are ranked and correlated. Grams are
 compared in blocks of ``_ROW_BLOCK`` rows, so no (L, L) order, rank or mask
-matrix is made. A row or vector holding a non-finite value is argsorted or
-ranked in full on both sides, so NaN keeps argsort's and the ranks' handling.
+matrix is made.
 
-The stable descending order of a finite row is numpy's default argsort,
-which is SIMD (AVX-512 or AVX2 where the CPU has it) but unstable, followed
-by a repair that re-sorts only the positions inside each run of equal
-values to ascending index; the result equals the stable sort bit for bit.
-A row holding a non-finite value takes the stable sort itself.
+The stable descending order of a row is numpy's default argsort, which is
+SIMD (AVX-512 or AVX2 where the CPU has it) but unstable, followed by a
+repair that re-sorts only the positions inside each run of equal values to
+ascending index; the result equals the stable sort bit for bit.
 ``verify_isomorphism`` takes its relative error over row blocks too, and
 frees each gram once its off-diagonal pairs are read, so it holds at most
 two grams.
 
 Ranks (``_rankdata``) and the Pearson coefficient (``_pearson``) are numpy
 copies of ``scipy.stats.rankdata`` and the statistic of
-``scipy.stats.pearsonr``, equal to them bit for bit, NaN included. scipy is
+``scipy.stats.pearsonr``, equal to them bit for bit on finite input. scipy is
 the tests' oracle only: importing this module loads numpy and nothing more.
 """
 
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import FloatVector
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_float, check_int
 
 __all__ = [
     "PosEncParams",
@@ -79,10 +84,8 @@ class PosEncParams:
         check_int("dim", self.dim, 2)
         if self.dim % 2:
             raise ParameterError(f"dim must be a positive even integer, got {self.dim}")
-        if not (0 < self.base < math.inf and 0 < self.window < math.inf):
-            raise ParameterError(
-                f"base and window must be positive and finite, got {self.base}, {self.window}"
-            )
+        for name in ("base", "window"):
+            object.__setattr__(self, name, check_float(name, getattr(self, name), 0.0))
         # the spike-timing gram is (T/L)^2 times the sinusoidal one, whose
         # entries reach the self-dot d/2, and the checks sum up to L^2 of
         # them: the scale must be a normal float and those sums finite
@@ -134,9 +137,23 @@ def freq_compressed_pe(p: PosEncParams) -> FloatVector:
 
 
 def gram_matrix(e: FloatVector) -> FloatVector:
+    """The (L, L) dot products of an (L, d) encoding's rows; every entry finite.
+
+    The input check of every posenc check: an encoding that is not a 2-D
+    numeric array, or whose gram holds a non-finite entry, is a
+    ParameterError.
+    """
+    try:
+        e = np.asarray(e, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"an encoding must be a float array: {exc}") from None
     if e.ndim != 2:
         raise ParameterError(f"an encoding is an (L, d) array, got shape {e.shape}")
-    return e @ e.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = e @ e.T
+    if not np.isfinite(g).all():
+        raise ParameterError("an encoding must be finite, and so must its rows' dot products")
+    return g
 
 
 _ROW_BLOCK = 128  # rows compared at once: (128, L) temporaries, never (L, L)
@@ -146,19 +163,13 @@ def _query_orders(g: FloatVector) -> tuple[np.ndarray, FloatVector]:
     """Per query (row), the positions by descending logit, ties to the lower,
     and the row's values in that order.
 
-    Equal to ``np.argsort(-g, axis=1, kind="stable")`` bit for bit. Finite
-    rows take numpy's default (SIMD) sort, and only the positions inside each
-    run of equal values are re-sorted to ascending index; a row holding a
-    non-finite value takes the stable sort, so NaN keeps its handling.
+    Equal to ``np.argsort(-g, axis=1, kind="stable")`` bit for bit for a
+    finite ``g``: numpy's default (SIMD) sort, after which only the positions
+    inside each run of equal values are re-sorted to ascending index.
     """
     neg = -g
     order = np.argsort(neg, axis=1)
     s = np.take_along_axis(neg, order, axis=1)
-    # the default sort puts NaN last, so the ends show every non-finite row
-    odd = ~(np.isfinite(s[:, 0]) & np.isfinite(s[:, -1]))
-    if odd.any():
-        order[odd] = np.argsort(neg[odd], axis=1, kind="stable")
-        s[odd] = np.take_along_axis(neg[odd], order[odd], axis=1)
     tie = np.zeros(s.shape, dtype=bool)  # tie[:, j]: s[:, j] equals s[:, j - 1]
     np.equal(s[:, 1:], s[:, :-1], out=tie[:, 1:])
     if tie.any():
@@ -180,49 +191,36 @@ def _query_orders(g: FloatVector) -> tuple[np.ndarray, FloatVector]:
     return order, s
 
 
-def _finite_rows(a: FloatVector, b: FloatVector) -> np.ndarray:
-    return np.isfinite(a).all(axis=-1) & np.isfinite(b).all(axis=-1)
-
-
 def _block_checks(a: FloatVector, b: FloatVector) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a block of two grams: does ``b`` have ``a``'s stable
     descending order, and does it have ``a``'s rankdata ranks?
 
     Along ``a``'s order a row of ``b`` keeps the order when it strictly
     falls or ties with the position rising, and keeps the ranks when it ties
-    exactly where ``a`` ties and strictly falls elsewhere. Rows holding a
-    non-finite value have their orders compared by argsorting ``b``, and
-    never keep their ranks.
+    exactly where ``a`` ties and strictly falls elsewhere.
     """
     order, sa = _query_orders(a)
     sb = np.take_along_axis(b, order, axis=1)
-    finite = _finite_rows(a, b)
     falls, ties = sb[:, :-1] > sb[:, 1:], sb[:, :-1] == sb[:, 1:]
     orders_kept = (falls | ties & (order[:, :-1] < order[:, 1:])).all(axis=1)
-    odd = ~finite
-    if odd.any():
-        orders_kept[odd] = (order[odd] == _query_orders(b[odd])[0]).all(axis=1)
-    return orders_kept, _ranks_kept(sa, sb, finite)
+    return orders_kept, _ranks_kept(sa, sb)
 
 
-def _ranks_kept(sa: FloatVector, sb: FloatVector, finite: np.ndarray) -> np.ndarray:
+def _ranks_kept(sa: FloatVector, sb: FloatVector) -> np.ndarray:
     """Per row (or for one vector): do ``a`` and ``b`` have equal rankdata
     ranks, given ``sa`` and ``sb``, both along one order that sorts ``a``
-    descending with ties in any order? False where ``finite`` is not."""
-    kept = np.where(
+    descending with ties in any order?"""
+    return np.where(
         sa[..., :-1] == sa[..., 1:], sb[..., :-1] == sb[..., 1:], sb[..., :-1] > sb[..., 1:]
     ).all(axis=-1)
-    return kept & finite
 
 
 def _rankdata(x: FloatVector) -> FloatVector:
-    """``scipy.stats.rankdata(x)`` of a vector: 1-based ranks, each tie group
-    at the mean of its places; all NaN when x holds a NaN.
+    """``scipy.stats.rankdata(x)`` of a vector without NaN: 1-based ranks,
+    each tie group at the mean of its places.
 
     The ranks are integers or halves, so they are exact.
     """
-    if np.isnan(x).any():
-        return np.full(x.shape, np.nan)
     order = np.argsort(x, kind="stable")
     y = x[order]
     starts = np.flatnonzero(np.concatenate(([True], y[:-1] != y[1:])))
@@ -263,17 +261,13 @@ def _spearman(x: FloatVector, y: FloatVector) -> float:
     """Spearman rho: the Pearson coefficient of the two rank vectors;
     exactly 1.0 when the tie-aware rankings coincide.
 
-    One sort of ``x`` decides that; only vectors whose ranks differ, or that
-    hold a non-finite value, are ranked and correlated.
+    One sort of ``x`` decides that; only vectors whose ranks differ are
+    ranked and correlated.
     """
     order = np.argsort(x)[::-1]
-    if _ranks_kept(x[order], y[order], _finite_rows(x, y)):
+    if _ranks_kept(x[order], y[order]):
         return 1.0
-    rx = _rankdata(x)
-    ry = _rankdata(y)
-    if np.array_equal(rx, ry):
-        return 1.0
-    return _pearson(rx, ry)
+    return _pearson(_rankdata(x), _rankdata(y))
 
 
 @dataclass(frozen=True)
@@ -310,8 +304,7 @@ def verify_isomorphism(p: PosEncParams) -> IsomorphismReport:
     scale = (p.window / p.seq_len) ** 2
     g_pe = gram_matrix(sinusoidal_pe(p))
     g_stpe = gram_matrix(spike_timing_pe(p))
-    # |g_stpe - scale g_pe| / max(|scale g_pe|, 1e-300) over row blocks; the
-    # max of the block maxima propagates NaN as one np.max would
+    # |g_stpe - scale g_pe| / max(|scale g_pe|, 1e-300) over row blocks
     block_max = []
     for lo in range(0, p.seq_len, _ROW_BLOCK):
         scaled = scale * g_pe[lo : lo + _ROW_BLOCK]
@@ -361,8 +354,8 @@ def lemma1_rank_invariance(p: PosEncParams) -> RankInvarianceReport:
 
     Each row block of the PE gram is sorted once; along that order the STPE
     rows are checked for the same order and the same ranks. Only rows whose
-    ranks differ, or that hold a non-finite value, are ranked (``_rankdata``)
-    and correlated (``_pearson``); every other row scores Spearman 1.0.
+    ranks differ are ranked (``_rankdata``) and correlated (``_pearson``);
+    every other row scores Spearman 1.0.
 
     Float caveat: when T/L is a power of two (e.g. the default T=1 with
     L=128) the scaling is exact and argsort equality holds bit-for-bit;
@@ -383,7 +376,7 @@ def _rank_invariance(g_a: FloatVector, g_b: FloatVector) -> RankInvarianceReport
         orders_kept, ranks_kept = _block_checks(a, b)
         orders_equal = orders_equal and bool(orders_kept.all())
         for q in np.flatnonzero(~ranks_kept):
-            spearmans[lo + q] = _spearman(a[q], b[q])
+            spearmans[lo + q] = _pearson(_rankdata(a[q]), _rankdata(b[q]))
         peak_ratio[lo : lo + len(a)] = _softmax_peak(a) / _softmax_peak(b)
     return RankInvarianceReport(
         orders_equal,
@@ -397,15 +390,13 @@ def rank_counterexample(a: FloatVector, b: FloatVector) -> int | None:
     """First query position whose positional-logit ordering differs, if any.
 
     Row blocks of ``a``'s gram are sorted in turn and the search stops at the
-    first block holding a differing row. Rows of ``b``'s gram are argsorted
-    only where a non-finite value is held.
+    first block holding a differing row; ``b``'s gram is never sorted.
     """
-    if a.shape != b.shape:
-        raise ParameterError("encodings must share (L, d)")
     g_a, g_b = gram_matrix(a), gram_matrix(b)
+    if np.shape(a) != np.shape(b):
+        raise ParameterError("encodings must share (L, d)")
     for lo in range(0, g_a.shape[0], _ROW_BLOCK):
-        ba, bb = g_a[lo : lo + _ROW_BLOCK], g_b[lo : lo + _ROW_BLOCK]
-        kept, _ = _block_checks(ba, bb)
+        kept = _block_checks(g_a[lo : lo + _ROW_BLOCK], g_b[lo : lo + _ROW_BLOCK])[0]
         if not kept.all():
             return lo + int(kept.argmin())
     return None
@@ -417,5 +408,5 @@ def distance_profile(e: FloatVector) -> list[tuple[int, float]]:
     delta = 0 is included as the self-similarity reference.
     """
     g = gram_matrix(e)
-    L = e.shape[0]
+    L = g.shape[0]
     return [(delta, float(np.add.reduce(g.diagonal(delta)) / (L - delta))) for delta in range(L)]

@@ -230,7 +230,8 @@ def cmm_write(
     ``data`` holds one row per chain of the activation. For each chain only
     the block data support x active locations is read and written: outside
     it the outer product is zero and the non-negative matrix keeps its
-    value under the max.
+    value under the max. Data that is negative or not finite is a
+    ParameterError: the max would lose it or store NaN.
     """
     data = np.asarray(data, dtype=np.float64)
     weights = activation.weights
@@ -240,6 +241,9 @@ def cmm_write(
         raise ParameterError(
             f"matrix is {cmm.w.shape}, write is {data.shape} data x {weights.shape} weights"
         )
+    # two reductions and no temporaries: NaN fails the first comparison
+    if not (data.min(initial=0.0) >= 0.0 and data.max(initial=0.0) < np.inf):
+        raise ParameterError("data must be finite and non-negative")
     for b, cols in enumerate(activation.active):
         if not cols.size:
             continue

@@ -24,13 +24,12 @@ so the rows do not depend on the block size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import FloatVector, IndexVector
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_float, check_int
 
 __all__ = [
     "AttentionInputs",
@@ -78,9 +77,8 @@ def softmax_attention(inp: AttentionInputs, temperature: float = 1.0) -> FloatVe
 
     Logits that overflow to infinity are a ParameterError, not NaN rows.
     """
-    if not 0.0 < temperature < math.inf:
-        raise ParameterError(f"temperature must be finite and positive, got {temperature}")
-    with np.errstate(over="ignore"):
+    temperature = check_float("temperature", temperature, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
         logits = (inp.queries @ inp.keys.swapaxes(-1, -2)) / temperature
     if not np.isfinite(logits).all():
         raise ParameterError("QK^T / temperature overflows; scale the inputs down")
@@ -91,8 +89,14 @@ def softmax_attention(inp: AttentionInputs, temperature: float = 1.0) -> FloatVe
 
 
 def _safe_unit_rows(m: FloatVector) -> FloatVector:
-    """Rows over their norms; a row without a positive norm becomes +0.0s."""
-    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    """Rows over their norms; a row without a positive norm becomes +0.0s.
+
+    A norm that overflows is a ParameterError, not a zero row.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    if np.isinf(norms).any():
+        raise ParameterError("a query or key norm overflows; scale the inputs down")
     zero = ~(norms > 0.0)
     out = m / np.where(zero, 1.0, norms)
     out[zero[..., 0]] = 0.0
@@ -116,6 +120,8 @@ def wta_attention(
     similarity, renormalized to sum one. Queries where nothing passes, or
     where the kept similarities sum to a non-positive value, yield a zero
     row flagged in ``degenerate``; the latter still report their winners.
+    A threshold that is not a finite number, or a query or key whose norm
+    overflows, is a ParameterError.
 
     Queries are weighted in groups of one winner count, so a query whose
     c winners are fewer than n_winners sums and multiplies c terms, as a
@@ -123,8 +129,7 @@ def wta_attention(
     """
     n_k = inp.keys.shape[-2]
     check_int("n_winners", n_winners, 1, n_k + 1)
-    if math.isnan(threshold):
-        raise ParameterError("threshold must not be NaN")
+    threshold = check_float("threshold", threshold)
     sims = _safe_unit_rows(inp.queries) @ _safe_unit_rows(inp.keys).swapaxes(-1, -2)
     passed = sims >= threshold
     # keys that fail sort last; the stable sort sends ties to the lower index
@@ -134,7 +139,7 @@ def wta_attention(
 
     # weight each group of queries with c winners over c terms
     lead, n_q, d_v = sims.shape[:-1], sims.shape[-2], inp.values.shape[-1]
-    values = inp.values.reshape((-1, n_k, d_v))
+    values = inp.values if inp.values.ndim == 3 else inp.values[None]  # (B, n_k, d_v)
     top = np.take_along_axis(sims, ranked, axis=-1).reshape(-1, n_winners)
     ranked, count = ranked.reshape(-1, n_winners), count.reshape(-1)
     out = np.zeros((count.size, d_v))
@@ -168,7 +173,7 @@ def compare_attention(
     check_int("n_trials", n_trials, 0)
     check_int("d", d, 1)
     check_int("n_k", n_k, 1)
-    check_int("seed", seed, 0, 2**63)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_BYTES // (8 * (1 + n_k) * d))
     eye = np.eye(n_k)  # value = one-hot of key index; output reveals the pick

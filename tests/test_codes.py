@@ -32,6 +32,14 @@ def test_code_params_validation():
         CodeParams(m_total=4, n_active=2, alpha=0.0)
 
 
+@pytest.mark.parametrize("alpha", ["0.5", None])
+def test_code_params_alpha_must_be_a_number(alpha):
+    # a str or None raised a raw TypeError from the range comparison
+    with pytest.raises(ParameterError, match="alpha"):
+        CodeParams(4, 2, alpha)
+    assert CodeParams(4, 2, np.float32(0.5)).alpha == 0.5
+
+
 @pytest.mark.parametrize(
     "m_total, n_active",
     [(8.5, 2), (8.0, 2), (8, 2.0), (8, True), (np.float64(8.0), 2)],

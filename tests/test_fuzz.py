@@ -1,0 +1,183 @@
+"""Fuzz the public entry points of posenc and spikeattn.
+
+Each test draws arguments, valid or not: NaN, +-inf, 1e+-300, bools,
+strings, None, ragged lists and arrays of the wrong rank. An entry point
+returns a finite result or raises a SpikeSeqError, within the hypothesis
+deadline and without a numeric warning. Every array is at most 8 x 8 (a
+3-D one at most 2 x 8 x 8), every trial count at most 8, and nothing starts
+a thread.
+"""
+
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from spikeseq.errors import SpikeSeqError
+from spikeseq.posenc import (
+    PosEncParams,
+    distance_profile,
+    freq_compressed_pe,
+    gram_matrix,
+    lemma1_rank_invariance,
+    rank_counterexample,
+    sinusoidal_pe,
+    spike_timing_pe,
+    verify_isomorphism,
+)
+from spikeseq.spikeattn import (
+    AttentionInputs,
+    compare_attention,
+    softmax_attention,
+    wta_attention,
+)
+
+_FUZZ = settings(max_examples=150, deadline=1000)
+
+_FINITE_FLOATS = st.one_of(
+    st.floats(-10.0, 10.0), st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0])
+)
+_FLOATS = st.one_of(_FINITE_FLOATS, st.sampled_from([math.nan, math.inf, -math.inf]))
+_JUNK = st.sampled_from([True, False, "x", "1.5", None, 1j, [], [[]]])
+_SCALARS = st.one_of(_FLOATS, st.integers(-3, 8), _JUNK)
+_INTS = st.one_of(st.integers(-3, 8), _SCALARS)  # integer arguments: in range half the time
+_REALS = st.one_of(_FINITE_FLOATS, st.integers(-3, 8), _SCALARS, st.just(10**400))
+
+
+def _arrays(shape, elements=_FLOATS):
+    return arrays(np.float64, shape, elements=elements)
+
+
+_SIDES = st.integers(0, 8)
+_MATRICES = st.one_of(
+    _arrays(st.tuples(_SIDES, _SIDES)),
+    _arrays(st.tuples(_SIDES, _SIDES)).map(np.ndarray.tolist),
+    _arrays(st.tuples(_SIDES, _SIDES), st.floats(-10.0, 10.0)),
+)
+_WRONG_RANK = st.one_of(
+    _arrays(st.tuples()),
+    _arrays(st.tuples(_SIDES)),
+    _arrays(st.tuples(st.integers(0, 2), _SIDES, _SIDES)),
+)
+_RAGGED = st.lists(st.lists(_FLOATS, max_size=4), min_size=2, max_size=4)
+_ENCODINGS = st.one_of(_MATRICES, _WRONG_RANK, _RAGGED, _JUNK)
+
+
+def _finite(x) -> bool:
+    """Every number in a result (reports, arrays, lists, tuples) is finite."""
+    if dataclasses.is_dataclass(x):
+        return all(_finite(v) for v in vars(x).values())
+    if isinstance(x, (list, tuple)):
+        return all(_finite(v) for v in x)
+    return x is None or bool(np.isfinite(x).all())
+
+
+def _finite_or_rejected(f, *args, **kwargs):
+    """f's result, asserted finite, or None when f raised a SpikeSeqError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numeric warning is a silent NaN or inf
+        try:
+            result = f(*args, **kwargs)
+        except SpikeSeqError:
+            return None
+    assert _finite(result), result
+    return result
+
+
+@_FUZZ
+@given(seq_len=_INTS, dim=_INTS, base=_REALS, window=_REALS)
+def test_posenc_params(seq_len, dim, base, window):
+    p = _finite_or_rejected(PosEncParams, seq_len, dim, base=base, window=window)
+    if p is None:
+        return
+    # an accepted geometry is at most 8 positions of 8 dimensions here
+    for encode in (sinusoidal_pe, spike_timing_pe, freq_compressed_pe):
+        assert _finite_or_rejected(encode, p) is not None
+        assert _finite_or_rejected(distance_profile, encode(p)) is not None
+    assert _finite_or_rejected(lemma1_rank_invariance, p) is not None
+    if p.seq_len >= 3:
+        assert _finite_or_rejected(verify_isomorphism, p) is not None
+
+
+@_FUZZ
+@given(e=_ENCODINGS)
+def test_gram_matrix(e):
+    g = _finite_or_rejected(gram_matrix, e)
+    if g is not None:
+        assert g.shape == (len(e), len(e))
+
+
+@_FUZZ
+@given(a=_ENCODINGS, b=st.one_of(_ENCODINGS, st.just(None)))
+def test_rank_counterexample(a, b):
+    # None for b compares a with itself
+    q = _finite_or_rejected(rank_counterexample, a, a if b is None else b)
+    if b is None:
+        assert q is None
+
+
+@_FUZZ
+@given(e=_ENCODINGS)
+def test_distance_profile(e):
+    prof = _finite_or_rejected(distance_profile, e)
+    if prof is not None:
+        assert [delta for delta, _ in prof] == list(range(len(e)))
+
+
+_KEYS = st.integers(1, 8)
+
+
+@st.composite
+def _attention_parts(draw):
+    """queries, keys and values: finite, of one geometry, 2-D or 3-D; or
+    drawn each on its own from the encodings."""
+    if draw(st.booleans()):
+        lead = draw(st.sampled_from([(), (1,), (2,)]))
+        n_q, n_k, d, d_v = draw(_KEYS), draw(_KEYS), draw(_KEYS), draw(_KEYS)
+        shapes = ((n_q, d), (n_k, d), (n_k, d_v))
+        return tuple(draw(_arrays(lead + shape, _FINITE_FLOATS)) for shape in shapes)
+    return tuple(draw(_ENCODINGS) for _ in range(3))
+
+
+@_FUZZ
+@given(
+    parts=_attention_parts(),
+    temperature=_REALS,
+    n_winners=_INTS,
+    threshold=st.one_of(_REALS, st.floats(-1.0, 1.0)),
+)
+@example(  # the one logit is 1e600 - 1e600: rejected without an "invalid value" warning
+    parts=(np.full((1, 2), 1e300), np.array([[1e300, -1e300]]), np.zeros((1, 1))),
+    temperature=1.0,
+    n_winners=1,
+    threshold=0.0,
+)
+def test_attention(parts, temperature, n_winners, threshold):
+    inp = _finite_or_rejected(AttentionInputs, *parts)
+    if inp is None:
+        return
+    _finite_or_rejected(softmax_attention, inp, temperature=temperature)
+    _finite_or_rejected(wta_attention, inp, n_winners=n_winners, threshold=threshold)
+
+
+@_FUZZ
+@given(
+    n_trials=_INTS,
+    d=_INTS,
+    n_k=_INTS,
+    seed=st.one_of(_INTS, st.integers(0, 2**80)),
+    unit_norm=st.booleans(),
+)
+@example(n_trials=1, d=1, n_k=1, seed=2**63, unit_norm=True)  # past the old i64 bound
+def test_compare_attention(n_trials, d, n_k, seed, unit_norm):
+    rows = _finite_or_rejected(compare_attention, n_trials, d, n_k, seed, unit_norm)
+    args = (n_trials, d, n_k, seed)
+    if all(isinstance(v, int) and not isinstance(v, bool) for v in args) and (
+        n_trials >= 0 and d >= 1 and n_k >= 1 and seed >= 0
+    ):
+        # every non-negative integer seed is accepted
+        assert rows is not None and len(rows) == n_trials

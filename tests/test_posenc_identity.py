@@ -3,8 +3,9 @@
 The references below are the checks as they were when both grams were
 argsorted whole, every query row was ranked by scipy, and each distance
 was read through a fancy-index copy. The row-block checks must return
-exactly what they return: every report field compares with ``==`` and
-every counterexample query is the same, NaN included.
+exactly what they return on finite encodings: every report field compares
+with ``==`` (NaN matches NaN) and every counterexample query is the same.
+Non-finite encodings are rejected at ``gram_matrix``.
 
 ``_ref_verify_isomorphism`` is ``verify_isomorphism`` as it was when the
 relative error held three (L, L) temporaries and the off-diagonals were
@@ -13,6 +14,7 @@ read through ``np.triu_indices``; its report must compare ``==``.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from spikeseq import posenc
 from spikeseq.errors import ParameterError
 from spikeseq.posenc import (
     IsomorphismReport,
@@ -196,20 +199,29 @@ def test_distance_profile_matches_reference(L, enc, T):
     pair=_encoding_pairs(),
     where=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
     side=st.booleans(),
-    value=st.sampled_from([math.nan, math.inf]),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
 )
-def test_non_finite_entries_take_the_reference_path(pair, where, side, value):
+def test_non_finite_encodings_are_rejected_by_every_check(pair, where, side, value):
+    # rank_counterexample used to answer None ("no counterexample") for
+    # all-NaN encodings, and distance_profile to return NaN rows
     a, b = (x.copy() for x in pair)
     target = a if side else b
     i, k = (int(f * n) for f, n in zip(where, target.shape))
-    target[i, k] = value  # poisons gram row i and column i
-    # in a gram, one poisoned entry leaves the other rows finite
-    g_a, g_b = gram_matrix(pair[0]), gram_matrix(pair[1])
-    (g_a if side else g_b)[i % g_a.shape[0], k % g_a.shape[0]] = value
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # inf * 0 in the gram; NaN ranks in pearsonr
-        assert rank_counterexample(a, b) == _ref_rank_counterexample(a, b)
-        _assert_same_report(_rank_invariance(g_a, g_b), _ref_rank_invariance(g_a, g_b))
+    target[i, k] = value
+    # the checks that take PosEncParams get a and b from patched encoders
+    p = PosEncParams(3, 2)
+    encoders = mock.patch.multiple(posenc, sinusoidal_pe=lambda _: a, spike_timing_pe=lambda _: b)
+    checks = [
+        lambda: rank_counterexample(a, b),
+        lambda: distance_profile(target),
+        lambda: verify_isomorphism(p),
+        lambda: lemma1_rank_invariance(p),
+    ]
+    with encoders, warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected without a numeric warning
+        for check in checks:
+            with pytest.raises(ParameterError, match="finite"):
+                check()
 
 
 _SMALL_INTS = st.integers(0, 3).map(float)
@@ -222,27 +234,6 @@ def test_spearman_matches_rankdata_on_tied_integers(data, n):
     y = np.array(data.draw(st.lists(_SMALL_INTS, min_size=n, max_size=n)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # constant ranks: pearsonr warns, both sides NaN
-        assert _same(_spearman(x, y), _ref_spearman(x, y))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    data=st.data(),
-    n=st.integers(2, 30),
-    odd=st.sampled_from([math.nan, math.inf, -math.inf]),
-    alike=st.booleans(),
-)
-def test_spearman_non_finite_matches_rankdata(data, n, odd, alike):
-    x = np.array(data.draw(st.lists(_SMALL_INTS, min_size=n, max_size=n)))
-    y = np.array(data.draw(st.lists(_SMALL_INTS, min_size=n, max_size=n)))
-    j = data.draw(st.integers(0, n - 1))
-    if alike:  # ranks alike but at j, where y holds a new maximum
-        y = x.copy()
-        y[j] = 4.0
-    x, y = data.draw(st.sampled_from([(x, y), (y, x)]))
-    (x if x[j] != 4.0 else y)[j] = odd
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
         assert _same(_spearman(x, y), _ref_spearman(x, y))
 
 

@@ -83,6 +83,20 @@ def test_write_idempotent_and_monotone():
     assert np.array_equal(cmm.w, once)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+def test_write_rejects_non_finite_or_negative_data(bad):
+    # a NaN row wrote NaN into the memory, and the max rule lost a negative value
+    cmm = CorrelationMatrix.zeros(4, 3)
+    data = np.array([[0.0, 1.0, 0.5, 0.0], [0.2, 0.0, 0.0, 1.0]])
+    data[1, 2] = bad
+    with pytest.raises(ParameterError, match="non-negative"):
+        cmm_write(cmm, ActivationPattern(np.full((2, 3), 0.5)), data)
+    assert not cmm.w.any()
+    data[1, 2] = -0.0  # a zero of either sign is data
+    cmm_write(cmm, ActivationPattern(np.full((2, 3), 0.5)), data)
+    assert cmm.w[2].tolist() == [0.25, 0.25, 0.25]
+
+
 def test_write_order_independence():
     rng = np.random.default_rng(7)
     p = CodeParams(32, 5, 0.8)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -229,7 +231,7 @@ def test_mismatched_leading_shapes_are_rejected():
         AttentionInputs(rng.normal(size=(1, 4)), keys, values)
 
 
-@pytest.mark.parametrize("temperature", [np.nan, np.inf])
+@pytest.mark.parametrize("temperature", [np.nan, np.inf, "1", None, True])
 def test_softmax_needs_a_finite_positive_temperature(temperature):
     with pytest.raises(ParameterError):
         softmax_attention(_one_query([1.0, 0.0]), temperature=temperature)
@@ -247,10 +249,37 @@ def test_softmax_logits_overflowing_on_huge_inputs_are_rejected():
         softmax_attention(inp, temperature=1.0)
 
 
+@pytest.mark.parametrize("field", ["queries", "keys"])
+def test_wta_rejects_a_norm_that_overflows(field):
+    # a key of 1e200 lost its norm to overflow and became a zero row: winner 0
+    # flagged degenerate, a zero output and a RuntimeWarning
+    parts = {"queries": np.array([[1.0, 0.0]]), "keys": np.eye(2), "values": np.eye(2)}
+    parts[field][0, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="overflows"):
+            wta_attention(AttentionInputs(**parts))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_wta_takes_values_without_columns(lead):
+    # a (n_k, 0) value block raised a raw ValueError from an ambiguous reshape
+    inp = AttentionInputs(np.ones(lead + (3, 2)), np.ones(lead + (2, 2)), np.zeros(lead + (2, 0)))
+    res = wta_attention(inp)
+    assert res.output.shape == lead + (3, 0) and res.winners.shape == lead + (3, 1)
+
+
 def test_wta_threshold_must_not_be_nan():
     # a NaN threshold flagged every query as degenerate
     with pytest.raises(ParameterError):
         wta_attention(_one_query([1.0, 0.0]), threshold=np.nan)
+
+
+@pytest.mark.parametrize("threshold", ["0", None, True])
+def test_wta_threshold_must_be_a_real_number(threshold):
+    # a str or None raised a raw TypeError from math.isnan
+    with pytest.raises(ParameterError, match="finite number"):
+        wta_attention(_one_query([1.0, 0.0]), threshold=threshold)
 
 
 @pytest.mark.parametrize("n_winners", [1.5, 1.0, True, "1"])
@@ -276,12 +305,18 @@ def test_wta_accepts_numpy_integer_winners():
         {"n_k": 1.0},
         {"seed": -1},
         {"seed": 1.5},
-        {"seed": 2**63},
     ],
 )
 def test_compare_attention_rejects_invalid_arguments(kwargs):
     with pytest.raises(ParameterError):
         compare_attention(**{"n_trials": 3, **kwargs})
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**200])
+def test_compare_attention_accepts_any_non_negative_seed(seed):
+    # only the memory snapshot's i64 field bounds a seed; these were rejected
+    rows = compare_attention(n_trials=3, seed=seed)
+    assert len(rows) == 3 and all(agree for *_, agree in rows)
 
 
 def test_compare_attention_memory_stays_blocked():
