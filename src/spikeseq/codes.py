@@ -30,17 +30,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateInputError, ParameterError, check_float, check_int
+from .errors import ParameterError, check_float, check_int
 
 __all__ = [
     "CodeParams",
     "random_firing",
     "to_significance",
     "vector_norm",
-    "cosine_sim",
     "support_matvec",
     "nofm",
-    "is_canonical",
     "info_bits_ordered",
     "info_bits_unordered",
     "info_ratio",
@@ -84,23 +82,6 @@ def vector_norm(v: FloatVector) -> FloatVector:
     overhead; a 1-D vector gives a scalar.
     """
     return np.sqrt(np.vecdot(v, v))
-
-
-def cosine_sim(a: FloatVector, b: FloatVector) -> float:
-    """Normalised dot product of two equal-length vectors.
-
-    Symmetric and invariant to positive rescaling of either argument.
-    Raises DegenerateInputError on an all-zero input.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ParameterError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.dot(a, a))
-    nb = float(np.dot(b, b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine similarity of a zero vector is undefined")
-    return float(np.dot(a, b) / math.sqrt(na * nb))
 
 
 def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) -> FloatVector:
@@ -191,17 +172,6 @@ def nofm(v: FloatVector, params: CodeParams) -> IndexVector:
     part.partition(n - 1, axis=1)
     neg[neg > part[:, n - 1, None]] = np.inf
     return neg.argsort(axis=1, kind="stable")[:, :n]
-
-
-def is_canonical(v: FloatVector, params: CodeParams) -> bool:
-    """True when v carries exactly the weight set {alpha**0..alpha**(N-1)}."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (params.m_total,):
-        return False
-    nz = np.flatnonzero(v)
-    if nz.size != params.n_active:
-        return False
-    return bool(np.array_equal(np.sort(v[nz])[::-1], params.significances))
 
 
 def _check_nm(n: int, m: int) -> None:

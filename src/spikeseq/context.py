@@ -52,7 +52,7 @@ from .codes import (
     to_significance,
     vector_norm,
 )
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, ParameterError, check_float
 
 __all__ = ["ContextConfig", "ContextState", "input_terms", "update_context", "random_projection"]
 
@@ -74,7 +74,11 @@ def _scale(v: FloatVector) -> FloatVector:
 
 @dataclass(frozen=True)
 class ContextConfig:
-    """Gate, projections and code geometry; the projections are stored column-major."""
+    """Gate, projections and code geometry; the projections are stored column-major.
+
+    The gate is a number in [0, 1], stored as a float, and the projections
+    are finite float matrices.
+    """
 
     lambda_gate: float
     p1: FloatVector  # context -> context, (M_c, M_c)
@@ -82,15 +86,20 @@ class ContextConfig:
     code_params: CodeParams
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.lambda_gate <= 1.0:
-            raise ParameterError(f"lambda_gate must lie in [0, 1], got {self.lambda_gate}")
+        gate = check_float("lambda_gate", self.lambda_gate, 0.0, 1.0, closed=True)
+        object.__setattr__(self, "lambda_gate", gate)
         m_c = self.code_params.m_total
-        if self.p1.shape != (m_c, m_c):
-            raise ParameterError(f"p1 must be ({m_c}, {m_c}), got {self.p1.shape}")
-        if self.p2.ndim != 2 or self.p2.shape[0] != m_c:
-            raise ParameterError(f"p2 must have {m_c} rows, got {self.p2.shape}")
-        object.__setattr__(self, "p1", np.asfortranarray(self.p1, dtype=np.float64))
-        object.__setattr__(self, "p2", np.asfortranarray(self.p2, dtype=np.float64))
+        for name in ("p1", "p2"):
+            try:
+                p = np.asfortranarray(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ParameterError(f"{name} must be a float matrix") from None
+            if p.ndim != 2 or p.shape[0] != m_c or (name == "p1" and p.shape[1] != m_c):
+                want = f"({m_c}, {m_c})" if name == "p1" else f"({m_c}, M_i)"
+                raise ParameterError(f"{name} must be {want}, got {p.shape}")
+            if not np.isfinite(p).all():
+                raise ParameterError(f"{name} must be finite")
+            object.__setattr__(self, name, p)
 
     @classmethod
     def random(

@@ -40,9 +40,12 @@ def check_int(name: str, value: object, low: int, high: int | None = None) -> No
         raise ParameterError(f"{name} must be below {high}, got {value}")
 
 
-def check_float(name: str, value: object, low: float = -math.inf, high: float = math.inf) -> float:
+def check_float(
+    name: str, value: object, low: float = -math.inf, high: float = math.inf, closed: bool = False
+) -> float:
     """``value`` as a float; ParameterError unless it is a Python or numpy
-    integer or float in the open interval (low, high), so never NaN or +-inf.
+    integer or float in the open interval (low, high), or in the closed
+    interval [low, high] when ``closed`` is set, and never NaN or +-inf.
 
     ``bool`` is not a number here, and an integer past the float range is
     out of every interval.
@@ -52,6 +55,8 @@ def check_float(name: str, value: object, low: float = -math.inf, high: float = 
         x = float(value) if real else math.nan
     except OverflowError:
         x = math.nan
-    if not low < x < high:
-        raise ParameterError(f"{name} must be a finite number in ({low}, {high}), got {value!r}")
+    inside = low <= x <= high if closed else low < x < high
+    if not (inside and math.isfinite(x)):
+        interval = f"[{low}, {high}]" if closed else f"({low}, {high})"
+        raise ParameterError(f"{name} must be a finite number in {interval}, got {value!r}")
     return x

@@ -7,6 +7,14 @@ Storage is a correlation matrix updated by the elementwise max of the
 outer product of the data significance vector with the activation
 pattern, which makes writes idempotent and order-independent.
 
+Similarity and selection are kept apart. An :class:`AddressDecoder` is a
+frozen value, the W addresses and their row norms, computed once at
+construction. The threshold, Kanerva's activation radius, is the selection
+rule: :func:`calibrate_threshold` picks one for a decoder, its owner keeps
+it, and every :func:`decode_address` call takes it as an argument. The
+correlation matrix is the one value that changes: a write updates it in
+place.
+
 Every kernel serves a block of B chains along a leading axis: addressing
 takes a :class:`~spikeseq.context.ContextState` of B contexts and returns
 an :class:`ActivationPattern` of (B, W) weights, a write takes (B, M) data
@@ -42,7 +50,6 @@ Calibration feeds its probe contexts through it in blocks.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +65,7 @@ from .codes import (
     vector_norm,
 )
 from .context import ContextState
-from .errors import NoActiveLocationError, ParameterError, check_int
+from .errors import NoActiveLocationError, ParameterError, check_float, check_int
 
 __all__ = [
     "AddressDecoder",
@@ -68,13 +75,8 @@ __all__ = [
     "cmm_write",
     "cmm_read",
     "calibrate_threshold",
-    "save_memory",
-    "load_memory",
 ]
 
-SNAPSHOT_MAGIC = b"SDMW"
-SNAPSHOT_HEADER = struct.Struct("<4sIIIqd")  # magic, version, data_dim, W, seed, theta
-SNAPSHOT_VERSION = 1
 _NORM_BLOCK = 512  # rows per row-major block in _row_norms
 _N_PROBES = 200  # seeded probe contexts per threshold calibration
 _PROBE_BLOCK = 25  # probe contexts per addressing call in calibration
@@ -85,60 +87,60 @@ def _row_norms(rows: FloatVector) -> FloatVector:
 
     A column-major matrix reduces each row in another order, which moves
     the last ulp of some norms and flips active locations that sit exactly
-    on the threshold. Blocks keep the row-major copies small.
+    on the threshold. Blocks keep the row-major copies small. A norm that
+    overflows is +inf, without a warning.
     """
-    blocks = [
-        np.linalg.norm(np.ascontiguousarray(rows[i : i + _NORM_BLOCK]), axis=1)
-        for i in range(0, rows.shape[0], _NORM_BLOCK)
-    ]
+    with np.errstate(over="ignore"):
+        blocks = [
+            np.linalg.norm(np.ascontiguousarray(rows[i : i + _NORM_BLOCK]), axis=1)
+            for i in range(0, rows.shape[0], _NORM_BLOCK)
+        ]
     return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AddressDecoder:
-    """W random canonical address codes plus an activation threshold.
+    """W address codes, fixed at construction, and their cached row norms.
 
     The addresses are stored column-major; every row must be finite and
-    not all-zero, since its cosine with any context is otherwise undefined.
+    have a positive norm, since its cosine with any context is otherwise
+    undefined. The norms are computed once, here.
     """
 
     addresses: FloatVector  # (W, M) stacked significance vectors, column-major
-    threshold: float
     code_params: CodeParams
-    seed: int = 0  # in [0, 2**63), the range of the snapshot's i64 field
     _row_norms: FloatVector = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ParameterError(f"threshold must lie in [0, 1], got {self.threshold}")
-        check_int("seed", self.seed, 0, 2**63)
-        if self.addresses.ndim != 2 or self.addresses.shape[1] != self.code_params.m_total:
-            raise ParameterError(
-                f"addresses must be (W, {self.code_params.m_total}), got {self.addresses.shape}"
-            )
-        self.addresses = np.asfortranarray(self.addresses, dtype=np.float64)
-        self._row_norms = _row_norms(self.addresses)
-        bad = ~(np.isfinite(self._row_norms) & (self._row_norms > 0.0))
+        m = self.code_params.m_total
+        try:
+            addresses = np.asfortranarray(self.addresses, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParameterError("addresses must be a float matrix") from None
+        if addresses.ndim != 2 or addresses.shape[1] != m or not addresses.shape[0]:
+            raise ParameterError(f"addresses must be (W, {m}) with W >= 1, got {addresses.shape}")
+        norms = _row_norms(addresses)
+        bad = ~(np.isfinite(norms) & (norms > 0.0))
         if bad.any():
-            raise ParameterError(f"address row {int(np.argmax(bad))} is all-zero or non-finite")
+            raise ParameterError(f"address row {int(np.argmax(bad))} has no finite positive norm")
+        object.__setattr__(self, "addresses", addresses)
+        object.__setattr__(self, "_row_norms", norms)
 
     @property
     def n_locations(self) -> int:
         return self.addresses.shape[0]
 
     @classmethod
-    def random(
-        cls,
-        n_locations: int,
-        code_params: CodeParams,
-        threshold: float,
-        seed: int,
-    ) -> "AddressDecoder":
+    def random(cls, n_locations: int, code_params: CodeParams, seed: int) -> "AddressDecoder":
+        """``n_locations`` random canonical addresses drawn from ``seed``.
+
+        The seed must lie in [0, 2**63), the range of the machine
+        snapshot's i64 field.
+        """
         check_int("n_locations", n_locations, 1)
         check_int("seed", seed, 0, 2**63)
         firing = random_firing(n_locations, code_params, np.random.default_rng(seed))
-        rows = to_significance(firing, code_params, order="F")
-        return cls(rows, threshold, code_params, seed=seed)
+        return cls(to_significance(firing, code_params, order="F"), code_params)
 
 
 @dataclass(frozen=True)
@@ -197,13 +199,18 @@ def _address_similarity(context: ContextState, dec: AddressDecoder) -> FloatVect
     return sims
 
 
-def decode_address(context: ContextState, dec: AddressDecoder) -> ActivationPattern:
+def decode_address(
+    context: ContextState, dec: AddressDecoder, threshold: float
+) -> ActivationPattern:
     """Similarity of each context to every address, gated by the threshold.
 
-    Raises ParameterError on an all-zero or non-finite context.
+    Locations whose similarity reaches ``threshold``, a number in [0, 1],
+    are active. Raises ParameterError on another threshold and on an
+    all-zero or non-finite context.
     """
+    threshold = check_float("threshold", threshold, 0.0, 1.0, closed=True)
     sims = _address_similarity(context, dec)
-    sims[sims < dec.threshold] = 0.0
+    sims[sims < threshold] = 0.0
     return ActivationPattern(sims)
 
 
@@ -211,7 +218,7 @@ def decode_address(context: ContextState, dec: AddressDecoder) -> ActivationPatt
 class CorrelationMatrix:
     """Non-negative (data_dim, W) weight matrix under the max write rule.
 
-    ``zeros`` and ``load_memory`` store it column-major, so that a read
+    ``zeros`` and ``load_machine`` store it column-major, so that a read
     gathers whole location columns; any layout gives the same results.
     """
 
@@ -284,7 +291,7 @@ def calibrate_threshold(dec: AddressDecoder, target_active: int, seed: int) -> f
     Uses the median over seeded probe contexts of the target_active-th
     largest address similarity, computed by the function addressing uses
     on blocks of probes, so the levels it ranks are those addressing
-    reproduces exactly. The decoder's own threshold is not read.
+    reproduces exactly.
     """
     check_int("target_active", target_active, 1, dec.n_locations + 1)
     firing = random_firing(_N_PROBES, dec.code_params, np.random.default_rng(seed))
@@ -295,46 +302,3 @@ def calibrate_threshold(dec: AddressDecoder, target_active: int, seed: int) -> f
         sims.partition(-target_active, axis=1)
         kth[i : i + _PROBE_BLOCK] = sims[:, -target_active]
     return float(np.median(kth))
-
-
-def save_memory(path, cmm: CorrelationMatrix, dec: AddressDecoder) -> None:
-    """Snapshot the matrix with its decoder geometry.
-
-    Layout (little-endian): magic 'SDMW', u32 version, u32 data_dim,
-    u32 n_locations, i64 seed, f64 threshold, then data_dim*W float64
-    entries row-major.
-    """
-    data_dim, n_loc = cmm.w.shape
-    header = SNAPSHOT_HEADER.pack(
-        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, data_dim, n_loc, dec.seed, dec.threshold
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.asarray(cmm.w, dtype="<f8").tobytes(order="C"))
-
-
-def load_memory(path) -> tuple[CorrelationMatrix, dict]:
-    """Load a snapshot; returns the matrix and the header fields.
-
-    Raises ParameterError on a foreign, truncated or over-long file.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read(SNAPSHOT_HEADER.size)
-        if len(raw) != SNAPSHOT_HEADER.size:
-            raise ParameterError(
-                f"snapshot header has {len(raw)} bytes, expected {SNAPSHOT_HEADER.size}"
-            )
-        magic, version, data_dim, n_loc, seed, theta = SNAPSHOT_HEADER.unpack(raw)
-        if magic != SNAPSHOT_MAGIC:
-            raise ParameterError(f"not a memory snapshot (magic {magic!r})")
-        if version != SNAPSHOT_VERSION:
-            raise ParameterError(f"unsupported snapshot version {version}")
-        body = fh.read()
-    if len(body) != 8 * data_dim * n_loc:
-        raise ParameterError(
-            f"snapshot body has {len(body)} bytes, expected {8 * data_dim * n_loc}"
-        )
-    w = np.frombuffer(body, dtype="<f8").reshape(data_dim, n_loc)
-    w = np.asfortranarray(w, dtype=np.float64)
-    meta = {"data_dim": data_dim, "n_locations": n_loc, "seed": seed, "threshold": theta}
-    return CorrelationMatrix(w), meta

@@ -30,6 +30,15 @@ once, at construction (:func:`~spikeseq.context.input_terms`), and an
 update adds the row of each chain's symbol. The context state is a value
 that the learn and recall functions keep in a local variable; a machine
 holds its configuration and its memory, no state of a run.
+
+Everything but the memory is fixed at construction: the codebook, the
+context configuration, the input table, the frozen address decoder and the
+activation threshold calibrated for it, which the machine holds and passes
+to every addressing call. Learning writes the memory in place.
+:func:`save_machine` writes the eight constructor arguments, the threshold
+and the memory; :func:`load_machine` rebuilds the machine from the
+arguments, which derive everything else from the seed, and accepts the
+file only when the rebuilt threshold equals the stored one bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +84,17 @@ __all__ = [
     "recall_sequence",
     "recall_sequences",
     "capacity_experiment",
+    "save_machine",
+    "load_machine",
 ]
+
+_SNAPSHOT_TAG = (b"SEQM", 2)  # magic and version
+# the constructor arguments, in the order of SequenceMachine.__init__ and the header
+_MACHINE_ARGS = ("alphabet_size", "m_total", "n_active", "alpha", "n_locations",
+                 "lambda_gate", "target_active", "seed")
+# magic, version, the eight arguments, threshold; the CRC-32 follows
+_HEADER = struct.Struct("<4sIqqqdqdqqd")
+_CRC = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -209,7 +230,11 @@ class SequenceMachine:
     of threshold calibration) is derived from a single integer seed in
     [0, 2**63), so identical seeds and inputs give bit-identical behaviour.
     Runs start from the empty history, so a full gate (``lambda_gate`` 1) is
-    rejected. ``input_table`` holds the input term of every codeword, (A, M).
+    rejected. ``input_table`` holds the input term of every codeword, (A, M),
+    and ``threshold`` the activation threshold calibrated for the decoder.
+    ``seed`` and ``target_active`` keep the two constructor arguments that
+    no other part holds, so that the machine can be saved. Only ``memory``
+    changes after construction.
     """
 
     def __init__(
@@ -231,7 +256,8 @@ class SequenceMachine:
         self.params = CodeParams(m_total, n_active, alpha)
         # the decoder draws from the seed itself and rejects one that is not an
         # integer in [0, 2**63) before SeedSequence sees it
-        self.decoder = AddressDecoder.random(n_locations, self.params, 0.0, seed=seed)
+        self.decoder = AddressDecoder.random(n_locations, self.params, seed)
+        self.seed, self.target_active = seed, target_active
         ss = np.random.SeedSequence(seed).spawn(3)
         self.codebook = Codebook.random(
             alphabet_size, self.params, np.random.default_rng(ss[0])
@@ -242,7 +268,7 @@ class SequenceMachine:
         self.input_table = input_terms(
             self.codebook.encode_matrix, self.codebook.supports, self.context_cfg
         )
-        self.decoder.threshold = calibrate_threshold(
+        self.threshold = calibrate_threshold(
             self.decoder, target_active, seed=int(ss[2].generate_state(1)[0])
         )
         self.memory = CorrelationMatrix.zeros(m_total, n_locations)
@@ -301,7 +327,7 @@ def learn_sequences(m: SequenceMachine, seqs: list[list[int]]) -> SequenceMachin
         if k < state.batch:
             state = state.take(slice(k))
         state = update_context(state, m.input_table[symbols[:k, t]], m.context_cfg)
-        act = decode_address(state, m.decoder)
+        act = decode_address(state, m.decoder, m.threshold)
         if act.n_active:
             cmm_write(m.memory, act, m.codebook.encode_matrix[symbols[:k, t + 1]])
     return m
@@ -342,7 +368,7 @@ def recall_sequences(
     halts: list[str | None] = [None] * n
     live = list(range(n))  # the chain of each row of the block
     for step in range(steps):
-        act = decode_address(state, m.decoder)
+        act = decode_address(state, m.decoder, m.threshold)
         counts = act.counts
         if 0 in counts:
             keep = [c > 0 for c in counts]
@@ -450,3 +476,58 @@ def capacity_experiment(
                 correct += i < len(got) and got[i] == want
         accuracies.append(correct / total)
     return accuracies
+
+
+def save_machine(path, m: SequenceMachine) -> None:
+    """Write the machine to ``path``: its constructor arguments, threshold and memory.
+
+    Layout (little-endian): magic 'SEQM', u32 version 2; the eight
+    constructor arguments in their order, each an i64 but ``alpha`` and
+    ``lambda_gate``, which are f64; the f64 threshold; a u32 CRC-32 of the
+    header bytes before it and the body; then the body, the (M, W) memory
+    as float64 entries row-major.
+    """
+    args = (m.codebook.alphabet_size, m.params.m_total, m.params.n_active, m.params.alpha,
+            m.decoder.n_locations, m.context_cfg.lambda_gate, m.target_active, m.seed)
+    header = _HEADER.pack(*_SNAPSHOT_TAG, *args, m.threshold)
+    body = np.asarray(m.memory.w, dtype="<f8").tobytes(order="C")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(_CRC.pack(zlib.crc32(body, zlib.crc32(header))))
+        fh.write(body)
+
+
+def load_machine(path) -> SequenceMachine:
+    """The machine that ``save_machine`` wrote to ``path``.
+
+    The length and the checksum are checked before anything is built;
+    then the machine is rebuilt from its constructor arguments and the
+    memory loaded into it. Raises ParameterError on a foreign, truncated,
+    over-long or corrupted file, on a header whose geometry does not match
+    the body length, and when the rebuilt threshold is not the stored one
+    bit for bit.
+    """
+    with open(path, "rb") as fh:
+        raw = memoryview(fh.read())
+    head = _HEADER.size + _CRC.size
+    if len(raw) < head:
+        raise ParameterError(f"snapshot has {len(raw)} bytes, less than its {head}-byte header")
+    magic, version, *values, threshold = _HEADER.unpack_from(raw)
+    if (magic, version) != _SNAPSHOT_TAG:
+        raise ParameterError(f"not a version-2 machine snapshot: {magic!r}, version {version}")
+    args = dict(zip(_MACHINE_ARGS, values))
+    shape = (args["m_total"], args["n_locations"])
+    body = raw[head:]
+    if len(body) != 8 * shape[0] * shape[1]:
+        raise ParameterError(f"snapshot body has {len(body)} bytes, not a {shape} float64 memory")
+    if _CRC.unpack_from(raw, _HEADER.size)[0] != zlib.crc32(body, zlib.crc32(raw[: _HEADER.size])):
+        raise ParameterError("snapshot checksum does not match: the file is corrupted")
+    m = SequenceMachine(**args)
+    if m.threshold.hex() != threshold.hex():
+        raise ParameterError(f"rebuilt threshold {m.threshold!r} is not the stored {threshold!r}")
+    w = np.frombuffer(body, dtype="<f8").reshape(shape).astype(np.float64, order="F")
+    # two reductions and no temporaries: NaN fails the first comparison
+    if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
+        raise ParameterError("snapshot memory must be finite and non-negative")
+    m.memory = CorrelationMatrix(w)
+    return m

@@ -89,15 +89,24 @@ def softmax_attention(inp: AttentionInputs, temperature: float = 1.0) -> FloatVe
 
 
 def _safe_unit_rows(m: FloatVector) -> FloatVector:
-    """Rows over their norms; a row without a positive norm becomes +0.0s.
+    """Rows over their norms; an all-zero row becomes +0.0s.
 
-    A norm that overflows is a ParameterError, not a zero row.
+    A norm that overflows is a ParameterError, not a zero row. The squares
+    of entries below about 1e-162 underflow, so a non-zero row whose norm
+    comes out 0 is first scaled by its largest |entry|, as
+    ``posenc._unit_deviations`` does; rows with a positive norm keep their
+    bits.
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(m, axis=-1, keepdims=True)
     if np.isinf(norms).any():
         raise ParameterError("a query or key norm overflows; scale the inputs down")
     zero = ~(norms > 0.0)
+    if zero.any():
+        peak = np.abs(m).max(axis=-1, keepdims=True, initial=0.0)
+        m = np.where(zero, m / np.where(peak > 0.0, peak, 1.0), m)
+        norms = np.where(zero, np.linalg.norm(m, axis=-1, keepdims=True), norms)
+        zero = ~(norms > 0.0)
     out = m / np.where(zero, 1.0, norms)
     out[zero[..., 0]] = 0.0
     return out

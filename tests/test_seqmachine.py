@@ -1,11 +1,17 @@
 import dataclasses
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spikeseq import seqmachine
 from spikeseq.codes import CodeParams
 from spikeseq.errors import AlphabetError, DegenerateInputError, ParameterError
+from spikeseq.sdm import calibrate_threshold
 from spikeseq.seqmachine import (
     Codebook,
     SequenceMachine,
@@ -14,9 +20,11 @@ from spikeseq.seqmachine import (
     encode_symbol,
     learn_sequence,
     learn_sequences,
+    load_machine,
     recall_sequence,
     recall_sequences,
     sample_sequences,
+    save_machine,
 )
 
 
@@ -426,3 +434,134 @@ def test_count_parameters_must_be_integers(call):
     # others escaped as a raw TypeError
     with pytest.raises(ParameterError, match="must be an integer"):
         call()
+
+
+def test_machine_holds_its_threshold_seed_and_target_active():
+    m = SequenceMachine(n_locations=256, target_active=9, seed=13)
+    assert (m.seed, m.target_active) == (13, 9)
+    probe_seed = int(np.random.SeedSequence(13).spawn(3)[2].generate_state(1)[0])
+    assert m.threshold == calibrate_threshold(m.decoder, 9, seed=probe_seed)
+    assert not hasattr(m.decoder, "threshold")
+
+
+@pytest.mark.parametrize("gate", ["x", None, True, math.nan, math.inf, -0.5, 2.0])
+def test_machine_rejects_a_gate_that_is_not_in_the_unit_interval(gate):
+    # "x" and None raised a raw TypeError from the range comparison
+    with pytest.raises(ParameterError, match="lambda_gate"):
+        SequenceMachine(lambda_gate=gate)
+
+
+# ---------------------------------------------------------------- snapshot
+
+_SMALL = {"alphabet_size": 6, "m_total": 24, "n_active": 4, "n_locations": 32,
+          "target_active": 4}
+
+
+def _learned(seed=5, **kwargs):
+    """A small machine that stored a few sequences."""
+    m = SequenceMachine(**{**_SMALL, "seed": seed, **kwargs})
+    learn_sequences(m, sample_sequences(np.random.default_rng(seed), 5, 6, 6))
+    return m
+
+
+def _snapshot(tmp_path, m):
+    path = tmp_path / "machine.seqm"
+    save_machine(path, m)
+    return path, path.read_bytes()
+
+
+def _resealed(raw):
+    """raw with its CRC-32 recomputed, so that only the other checks see an edit."""
+    head = seqmachine._HEADER.size
+    body = raw[head + 4 :]
+    return raw[:head] + struct.pack("<I", zlib.crc32(body, zlib.crc32(raw[:head]))) + body
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    alpha=st.floats(0.05, 0.95),
+    lambda_gate=st.floats(0.0, 0.95),
+    seqs=st.lists(st.lists(st.integers(0, 5), max_size=8), max_size=6),
+    cues=st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=2), min_size=1, max_size=6),
+)
+def test_recall_after_save_and_load_equals_recall_before(
+    tmp_path_factory, seed, alpha, lambda_gate, seqs, cues
+):
+    m = SequenceMachine(**_SMALL, alpha=alpha, lambda_gate=lambda_gate, seed=seed)
+    learn_sequences(m, seqs)
+    path = tmp_path_factory.mktemp("snap") / "machine.seqm"
+    save_machine(path, m)
+    loaded = load_machine(path)
+    assert loaded.memory.w.tobytes() == m.memory.w.tobytes()
+    assert loaded.threshold.hex() == m.threshold.hex()
+    before, after = recall_sequences(m, cues, 5), recall_sequences(loaded, cues, 5)
+    for a, b in zip(before, after, strict=True):
+        assert a.halt_reason == b.halt_reason
+        # bit for bit: struct bytes tell -0.0 from 0.0
+        pack = [struct.pack("<qdd", s.symbol, s.margin, s.confidence) for s in a.steps]
+        assert pack == [struct.pack("<qdd", s.symbol, s.margin, s.confidence) for s in b.steps]
+    learn_sequences(loaded, [[0, 1, 2]])  # the loaded memory takes writes
+    assert loaded.memory.w.flags.f_contiguous
+
+
+def test_snapshot_rejects_every_single_flipped_byte(tmp_path):
+    path, raw = _snapshot(tmp_path, _learned())
+    for i in range(len(raw)):
+        for flip in (0x01, 0x80):
+            bad = bytearray(raw)
+            bad[i] ^= flip
+            path.write_bytes(bad)
+            with pytest.raises(ParameterError):
+                load_machine(path)
+
+
+def test_snapshot_with_another_threshold_is_rejected(tmp_path):
+    # a file whose arguments rebuild another threshold (another platform, a
+    # changed calibration) is refused, however well its checksum matches
+    m = _learned()
+    path, raw = _snapshot(tmp_path, m)
+    at = seqmachine._HEADER.size - 8
+    nudged = struct.pack("<d", math.nextafter(m.threshold, 1.0))
+    path.write_bytes(_resealed(raw[:at] + nudged + raw[at + 8 :]))
+    with pytest.raises(ParameterError, match="threshold"):
+        load_machine(path)
+    path.write_bytes(_resealed(raw))
+    assert load_machine(path).threshold == m.threshold
+
+
+@pytest.mark.parametrize("field, value", [(3, 25), (6, 31), (3, -24), (6, 0)])
+def test_snapshot_geometry_must_match_the_body_before_anything_is_built(
+    tmp_path, monkeypatch, field, value
+):
+    # fields 3 and 6 are m_total and n_locations
+    path, raw = _snapshot(tmp_path, _learned())
+    fields = list(seqmachine._HEADER.unpack_from(raw))
+    fields[field] = value
+    path.write_bytes(_resealed(seqmachine._HEADER.pack(*fields) + raw[seqmachine._HEADER.size :]))
+
+    def built(*args, **kwargs):
+        raise AssertionError("a machine was built from a snapshot of the wrong length")
+
+    monkeypatch.setattr(seqmachine, "SequenceMachine", built)
+    with pytest.raises(ParameterError, match="body"):
+        load_machine(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_snapshot_memory_must_be_finite_and_non_negative(tmp_path, bad):
+    path, raw = _snapshot(tmp_path, _learned())
+    at = len(raw) - 8 * 7
+    path.write_bytes(_resealed(raw[:at] + struct.pack("<d", bad) + raw[at + 8 :]))
+    with pytest.raises(ParameterError, match="memory"):
+        load_machine(path)
+
+
+def test_snapshot_arguments_are_checked_like_the_constructor(tmp_path):
+    # a resealed header with an argument out of range fails as the constructor does
+    path, raw = _snapshot(tmp_path, _learned())
+    fields = list(seqmachine._HEADER.unpack_from(raw))
+    fields[7] = math.nan  # lambda_gate
+    path.write_bytes(_resealed(seqmachine._HEADER.pack(*fields) + raw[seqmachine._HEADER.size :]))
+    with pytest.raises(ParameterError, match="lambda_gate"):
+        load_machine(path)

@@ -261,6 +261,21 @@ def test_wta_rejects_a_norm_that_overflows(field):
             wta_attention(AttentionInputs(**parts))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-170, 5e-324])
+def test_wta_scores_a_row_whose_squares_underflow(scale):
+    # the squares of these entries are 0, so the query and the key scored as
+    # zero rows: a zero output flagged degenerate
+    queries = np.array([[scale, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    keys = np.array([[1.0, 0.0], [0.0, 0.2], [0.0, -scale]])
+    inp = AttentionInputs(queries, keys, np.array([[1.0], [2.0], [3.0]]))
+    res = wta_attention(inp, n_winners=1, threshold=0.5)
+    assert res.winners[:, 0].tolist() == [0, -1, 1]
+    assert res.degenerate.tolist() == [False, True, False]
+    assert res.output[:, 0].tolist() == [1.0, 0.0, 2.0]
+    worst = wta_attention(inp, n_winners=3, threshold=-1.0)
+    assert worst.winners[2].tolist() == [1, 0, 2]  # cosine -1 with the tiny key
+
+
 @pytest.mark.parametrize("lead", [(), (2,)])
 def test_wta_takes_values_without_columns(lead):
     # a (n_k, 0) value block raised a raw ValueError from an ambiguous reshape
