@@ -39,6 +39,7 @@ of chains can run over one configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,9 @@ class ContextConfig:
     """Gate, projections and code geometry; the projections are stored column-major.
 
     The gate is a number in [0, 1], stored as a float, and the projections
-    are finite float matrices.
+    are finite float matrices whose products with N-of-M codes keep a finite
+    norm: ``n_active`` times the largest column norm must have a finite
+    square, so an update never overflows.
     """
 
     lambda_gate: float
@@ -97,8 +100,17 @@ class ContextConfig:
             if p.ndim != 2 or p.shape[0] != m_c or (name == "p1" and p.shape[1] != m_c):
                 want = f"({m_c}, {m_c})" if name == "p1" else f"({m_c}, M_i)"
                 raise ParameterError(f"{name} must be {want}, got {p.shape}")
-            if not np.isfinite(p).all():
-                raise ParameterError(f"{name} must be finite")
+            # an N-of-M code x with entries <= 1 has |P x| <= N * (largest
+            # column norm): a bound with a finite square keeps every norm of a
+            # product finite, and a NaN or inf entry fails it
+            with np.errstate(over="ignore"):
+                largest = float(vector_norm(p.T).max(initial=0.0))
+            bound = int(self.code_params.n_active) * largest  # a Python float: no warning
+            if not bound * bound < math.inf:
+                raise ParameterError(
+                    f"{name} must be finite, with n_active x its largest column norm "
+                    "below the square root of the float range"
+                )
             object.__setattr__(self, name, p)
 
     @classmethod

@@ -17,10 +17,6 @@ class DegenerateInputError(SpikeSeqError):
     """An input (zero vector, empty burst) admits no meaningful result."""
 
 
-class NoActiveLocationError(SpikeSeqError):
-    """A memory read was attempted with no active address-decoder location."""
-
-
 class AlphabetError(SpikeSeqError):
     """A symbol index lies outside the codebook alphabet."""
 

@@ -36,7 +36,10 @@ that hit one cell in the same step commute.
 A read is a product per chain over that chain's active locations. Chains
 have different numbers of active locations, and padding them to one count
 with zero weights would change the summation order of the readout, so the
-read does not stack them.
+read does not stack them. A context with no location inside the activation
+radius reads nothing: its read is empty, a zero readout with confidence 0,
+as in Kanerva's SDM, and not an error; the write of such a chain changes
+nothing.
 
 Threshold invariant: the calibrated threshold is one of the discrete
 cosine levels that addressing computes (or the midpoint of two, when the
@@ -65,7 +68,7 @@ from .codes import (
     vector_norm,
 )
 from .context import ContextState
-from .errors import NoActiveLocationError, ParameterError, check_float, check_int
+from .errors import ParameterError, check_float, check_int
 
 __all__ = [
     "AddressDecoder",
@@ -237,8 +240,9 @@ def cmm_write(
     ``data`` holds one row per chain of the activation. For each chain only
     the block data support x active locations is read and written: outside
     it the outer product is zero and the non-negative matrix keeps its
-    value under the max. Data that is negative or not finite is a
-    ParameterError: the max would lose it or store NaN.
+    value under the max, so a chain with no active location writes nothing.
+    Data that is negative or not finite is a ParameterError: the max would
+    lose it or store NaN.
     """
     data = np.asarray(data, dtype=np.float64)
     weights = activation.weights
@@ -252,8 +256,6 @@ def cmm_write(
     if not (data.min(initial=0.0) >= 0.0 and data.max(initial=0.0) < np.inf):
         raise ParameterError("data must be finite and non-negative")
     for b, cols in enumerate(activation.active):
-        if not cols.size:
-            continue
         rows = (data[b] != 0.0).nonzero()[0]
         block = (rows[:, None], cols)
         cmm.w[block] = np.maximum(cmm.w[block], np.outer(data[b][rows], weights[b][cols]))
@@ -267,17 +269,16 @@ def cmm_read(
 
     Returns ((B, N) firing orders, (B,) confidences). A confidence is the
     chain's summed activation weight, forced to 0.0 when its readout is
-    all-zero (nothing stored where it looked); a chain with no active
-    location raises NoActiveLocationError, and params whose M is not the
-    matrix's row count a ParameterError.
+    all-zero: nothing stored where it looked, or no location active, which
+    is an empty read. The firing orders of a confidence-0 chain are those
+    of a zero row and carry no information. Params whose M is not the
+    matrix's row count raise ParameterError.
     """
     weights = activation.weights
     if weights.shape[1] != cmm.w.shape[1]:
         raise ParameterError(f"matrix is {cmm.w.shape}, activation is {weights.shape}")
     readout = np.empty((weights.shape[0], cmm.w.shape[0]))
     for b, cols in enumerate(activation.active):
-        if not cols.size:
-            raise NoActiveLocationError("no address-decoder location is active")
         readout[b] = cmm.w[:, cols] @ weights[b][cols]
     # the sum over all W weights, not only the active ones: another summation
     # order would move the last ulp of the confidence

@@ -6,9 +6,11 @@ sparse distributed memory that stores next-symbol codes one-shot;
 decoding projects a retrieved burst back onto the codebook
 (transposed-encoder scores) and takes the winner.
 
-Recall is autoregressive: the decoded symbol's clean code is fed back,
-and a retrieval with no active location or zero confidence halts with a
-reason instead of emitting garbage.
+Recall is autoregressive: the decoded symbol's clean code is fed back.
+Each step addresses the memory and reads it, and a chain halts at one
+point, after the read, when its confidence is 0: it emits no symbol and
+records a reason, "no active memory location" when its read was empty and
+"confidence 0 too low" when it read only zeros.
 
 The engine runs chains in lockstep. ``learn_sequences`` and
 ``recall_sequences`` advance a block of B chains, one per sequence or cue,
@@ -43,7 +45,6 @@ file only when the rebuilt threshold equals the stored one bit for bit.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import struct
@@ -63,7 +64,6 @@ from .codes import (
 from .context import ContextConfig, ContextState, input_terms, update_context
 from .errors import AlphabetError, DegenerateInputError, ParameterError, check_int
 from .sdm import (
-    ActivationPattern,
     AddressDecoder,
     CorrelationMatrix,
     calibrate_threshold,
@@ -254,6 +254,13 @@ class SequenceMachine:
                 "empty start history has no drive"
             )
         self.params = CodeParams(m_total, n_active, alpha)
+        check_int("alphabet_size", alphabet_size, 1)
+        check_int("n_locations", n_locations, 1)
+        # the (A, M) codebook rows, the (M, M) projections and the (W, M)
+        # decoder and memory must be arrays numpy can describe
+        size = 8 * int(m_total) * int(max(alphabet_size, m_total, n_locations))
+        if size > np.iinfo(np.intp).max:
+            raise ParameterError(f"a geometry of {size} bytes per array exceeds the address space")
         # the decoder draws from the seed itself and rejects one that is not an
         # integer in [0, 2**63) before SeedSequence sees it
         self.decoder = AddressDecoder.random(n_locations, self.params, seed)
@@ -316,20 +323,16 @@ def learn_sequences(m: SequenceMachine, seqs: list[list[int]]) -> SequenceMachin
     that learning the sequences one by one leaves, bit for bit.
     """
     symbols, lengths = _symbol_block(m, seqs)
-    # longest first, so that the chains still running form a leading slice
+    # longest first, equal lengths in input order, so that the chains still
+    # running form a leading slice
     rows = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
-    symbols = symbols[rows]
-    negated = [-lengths[r] for r in rows]  # ascending
-    # running[t - 1]: how many chains have a symbol at position t
-    running = [bisect.bisect_left(negated, -t) for t in range(1, symbols.shape[1])]
-    state = ContextState.start(m.params.m_total, running[0] if running else 0)
-    for t, k in enumerate(running):
-        if k < state.batch:
-            state = state.take(slice(k))
-        state = update_context(state, m.input_table[symbols[:k, t]], m.context_cfg)
+    symbols, lengths = symbols[rows], [lengths[r] for r in rows]
+    state = ContextState.start(m.params.m_total, len(rows))
+    for t in range(symbols.shape[1] - 1):
+        k = sum(n > t + 1 for n in lengths)  # the chains with a symbol at t + 1
+        state = update_context(state.take(slice(k)), m.input_table[symbols[:k, t]], m.context_cfg)
         act = decode_address(state, m.decoder, m.threshold)
-        if act.n_active:
-            cmm_write(m.memory, act, m.codebook.encode_matrix[symbols[:k, t + 1]])
+        cmm_write(m.memory, act, m.codebook.encode_matrix[symbols[:k, t + 1]])
     return m
 
 
@@ -347,10 +350,10 @@ def recall_sequences(
     """Prime one chain per cue, then predict autoregressively in lockstep.
 
     The cues share one length of at least one symbol. Each chain predicts
-    up to ``steps`` symbols; a retrieval failure (no active location, zero
-    confidence) ends its run with a halt reason and drops it from the
-    block. Result b is the one ``recall_sequence(m, cues[b], steps)``
-    returns, bit for bit.
+    up to ``steps`` symbols; a read of confidence 0 (no active location,
+    or nothing stored there) ends its run with a halt reason and drops it
+    from the block. Result b is the one
+    ``recall_sequence(m, cues[b], steps)`` returns, bit for bit.
     """
     check_int("steps", steps, 0)
     symbols, lengths = _symbol_block(m, cues)
@@ -369,20 +372,15 @@ def recall_sequences(
     live = list(range(n))  # the chain of each row of the block
     for step in range(steps):
         act = decode_address(state, m.decoder, m.threshold)
-        counts = act.counts
-        if 0 in counts:
-            keep = [c > 0 for c in counts]
-            live = _drop(live, keep, halts, "no active memory location")
-            state, act = state.take(keep), ActivationPattern(act.weights[keep])
-            if not live:
-                break
         firing, confidence = cmm_read(m.memory, act, m.params)
         conf = confidence.tolist()
         if 0.0 in conf:
-            keep = [c != 0.0 for c in conf]
-            live = _drop(live, keep, halts, "confidence 0 too low")
+            for b, c, k in zip(live, conf, act.counts):
+                if c == 0.0:
+                    halts[b] = "confidence 0 too low" if k else "no active memory location"
+            keep = confidence != 0.0
+            live, conf = [b for b, c in zip(live, conf) if c], [c for c in conf if c]
             state, firing = state.take(keep), firing[keep]
-            conf = [c for c in conf if c != 0.0]
             if not live:
                 break
         symbol, margin = decode_burst(m.codebook, to_significance(firing, m.params))
@@ -393,19 +391,11 @@ def recall_sequences(
     return [RecallResult(o, h) for o, h in zip(out, halts)]
 
 
-def _drop(live: list[int], keep: list[bool], halts: list, reason: str) -> list[int]:
-    """The chains that ``keep`` keeps; the others halt for ``reason``."""
-    for b, k in zip(live, keep):
-        if not k:
-            halts[b] = reason
-    return [b for b, k in zip(live, keep) if k]
-
-
 def recall_sequence(m: SequenceMachine, seed_symbols: list[int], steps: int) -> RecallResult:
     """Prime the context with seed symbols, then predict autoregressively.
 
-    ``recall_sequences`` on a block of one cue. Retrieval failures (no
-    active location, zero confidence) end the run with a halt reason.
+    ``recall_sequences`` on a block of one cue. A read of confidence 0
+    ends the run with a halt reason.
     """
     return recall_sequences(m, [seed_symbols], steps)[0]
 

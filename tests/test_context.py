@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,31 @@ def test_gate_is_stored_as_a_float(gate):
 def test_projections_must_be_finite_float_matrices(p1, p2, match):
     with pytest.raises(ParameterError, match=match):
         ContextConfig(0.5, p1, p2, CodeParams(4, 2, 0.5))
+
+
+@pytest.mark.parametrize("n_active", [2, np.int64(2)])
+@pytest.mark.parametrize("name", ["p1", "p2"])
+@pytest.mark.parametrize("entry", [1e300, -1e300, 1e155])
+def test_projections_whose_products_overflow_are_rejected(name, entry, n_active):
+    # the norm of such a projection's product overflows, and the input or
+    # history term it scales would silently become a zero row
+    p = CodeParams(4, n_active, 0.5)
+    projections = {"p1": np.eye(4), "p2": np.eye(4), name: np.full((4, 4), entry)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            ContextConfig(0.5, code_params=p, **projections)
+
+
+def test_projections_inside_the_bound_update_like_unit_ones():
+    # 2**500 passes (N x 2**500 has a finite square), and scaling by a power
+    # of two leaves every norm exact, so the states are the unit config's
+    rng = np.random.default_rng(4)
+    unit = _identity_cfg(0.5)
+    big = ContextConfig(0.5, np.eye(4) * 2.0**500, np.eye(4) * 2.0**500, unit.code_params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5):
+            prev, x = _drawn_state(unit.code_params, rng), _drawn(unit.code_params, rng)
+            got, want = _update(prev, x, big), _update(prev, x, unit)
+            assert got.vector.tobytes() == want.vector.tobytes()

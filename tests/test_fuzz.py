@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spikeseq.codes import CodeParams, random_firing, to_significance
-from spikeseq.context import ContextConfig, ContextState
+from spikeseq.context import ContextConfig, ContextState, input_terms, update_context
 from spikeseq.errors import ParameterError, SpikeSeqError
 from spikeseq.posenc import (
     PosEncParams,
@@ -268,8 +268,14 @@ def _projections(draw, m):
 def test_context_config(lambda_gate, m, data):
     params = CodeParams(m, 1, 0.5)
     p1, p2 = data.draw(_projections(m)), data.draw(_projections(m))
-    _finite_or_rejected(ContextConfig, lambda_gate, p1, p2, params)
+    cfg = _finite_or_rejected(ContextConfig, lambda_gate, p1, p2, params)
     _finite_or_rejected(ContextConfig.random, lambda_gate, params, np.random.default_rng(0))
+    if cfg is not None:  # an accepted config steps without overflow
+        firing = random_firing(2, params, np.random.default_rng(0))
+        codes = ContextState(to_significance(firing, params), np.sort(firing, axis=1))
+        terms = _finite_or_rejected(input_terms, codes.vector, codes.support, cfg)
+        if terms is not None:
+            _finite_or_rejected(update_context, codes, terms, cfg)
 
 
 @_FUZZ

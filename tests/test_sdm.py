@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from spikeseq.codes import CodeParams, random_firing, to_significance
 from spikeseq.context import ContextState
-from spikeseq.errors import DegenerateInputError, NoActiveLocationError, ParameterError
+from spikeseq.errors import DegenerateInputError, ParameterError
 from spikeseq.sdm import (
     _N_PROBES,
     ActivationPattern,
@@ -167,11 +167,35 @@ def test_read_rejects_a_pattern_of_another_width():
         cmm_read(cmm, ActivationPattern(np.full((2, 9), 0.5)), CodeParams(16, 4, 0.9))
 
 
-def test_all_zero_activation_rejected():
+@pytest.mark.parametrize("fill", [0.0, 1.0])
+def test_an_empty_read_has_confidence_zero_and_an_empty_write_writes_nothing(fill):
+    # no location inside the radius: the read is empty, not an error
     p = CodeParams(16, 4, 0.9)
-    cmm = CorrelationMatrix.zeros(16, 8)
-    with pytest.raises(NoActiveLocationError):
-        cmm_read(cmm, ActivationPattern(np.zeros((1, 8))), p)
+    cmm = CorrelationMatrix(np.full((16, 8), fill, order="F"))
+    empty = ActivationPattern(np.zeros((2, 8)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        firing, confidence = cmm_read(cmm, empty, p)
+        cmm_write(cmm, empty, np.ones((2, 16)))
+    assert confidence.tolist() == [0.0, 0.0]
+    assert firing.tolist() == [[0, 1, 2, 3]] * 2  # the orders of a zero row
+    assert cmm.w.tobytes() == np.full((16, 8), fill).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), empty=st.lists(st.booleans(), min_size=1, max_size=6))
+def test_empty_chains_leave_the_reads_of_the_others_unchanged(seed, empty):
+    p = CodeParams(16, 4, 0.9)
+    rng = np.random.default_rng(seed)
+    cmm = CorrelationMatrix(np.asfortranarray(rng.random((16, 8)) * (rng.random((16, 8)) < 0.3)))
+    weights = rng.random((len(empty), 8)) * (rng.random((len(empty), 8)) < 0.5)
+    weights[empty] = 0.0
+    firing, confidence = cmm_read(cmm, ActivationPattern(weights), p)
+    assert confidence[empty].tolist() == [0.0] * sum(empty)
+    for b in np.flatnonzero(~np.array(empty)):
+        alone = cmm_read(cmm, ActivationPattern(weights[b : b + 1]), p)
+        assert firing[b].tobytes() == alone[0][0].tobytes()
+        assert confidence[b].hex() == alone[1][0].hex()
 
 
 def test_calibrated_threshold_hits_target_active_count():

@@ -118,6 +118,40 @@ def test_untrained_machine_halts_with_reason():
     assert r.halt_reason is not None
 
 
+def test_empty_reads_halt_chains_of_a_block_like_chains_alone():
+    # ~2 active locations of 64: some chains read nothing, some read only
+    # zeros and some run to the end; a block recalls what each cue recalls alone
+    m = SequenceMachine(alphabet_size=8, m_total=64, n_active=6, n_locations=64,
+                        target_active=2, seed=2)
+    seqs = sample_sequences(np.random.default_rng(2), 4, 8, 8)
+    learn_sequences(m, seqs)
+    cues = [s[:2] for s in seqs] + [[k, (3 * k) % 8] for k in range(8)]
+    results = recall_sequences(m, cues, 7)
+    assert results == [recall_sequence(m, cue, 7) for cue in cues]
+    assert {r.halt_reason for r in results} == {
+        None, "confidence 0 too low", "no active memory location"
+    }
+    assert len({len(r.steps) for r in results if r.halt_reason is not None}) >= 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        {"m_total": 2**63, "n_locations": 1, "target_active": 1},
+        {"n_locations": 2**63},
+        {"n_locations": 2**61},
+        {"alphabet_size": 2**62},
+        {"n_locations": np.int64(2**61)},  # exact: no int64 product wraps around
+    ],
+    ids=["m_total", "n_locations-2**63", "n_locations-2**61", "alphabet_size", "numpy-int"],
+)
+def test_geometry_past_the_address_space_is_rejected(args):
+    # numpy cannot describe arrays of these sizes: np.arange and np.empty
+    # would raise a raw ValueError
+    with pytest.raises(ParameterError, match="bytes"):
+        SequenceMachine(**args)
+
+
 def test_gate_disambiguates_shared_interior_symbol():
     # sequences agree at position 1 but differ at position 0; a positive
     # gate keeps enough history to tell the continuations apart
