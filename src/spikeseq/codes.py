@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ParameterError, check_float, check_int
+from .errors import ParameterError, check_array, check_float, check_int
 
 __all__ = [
     "CodeParams",
@@ -92,6 +92,8 @@ def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) ->
     may hold zeros of ``v[b]`` as well); the caller carries it with the
     code, so it is not searched for here. A width-0 support gives zero
     rows. Equal to the dense product up to summation order (the last ulp).
+    Raises ParameterError when v is not a float matrix or is non-finite on
+    a support.
 
     The block gathers each support's rows of ``matrix.T``, which are
     contiguous when the matrix is column-major, and multiplies them with
@@ -101,7 +103,7 @@ def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) ->
     columns stay near 256 KiB, which keeps them in cache and the memory
     peak low; a block of one row takes the 2-D product, which costs less.
     """
-    v, support = np.asarray(v, dtype=np.float64), np.asarray(support)
+    v, support = check_array("v", v), np.asarray(support)
     if v.ndim != 2 or support.ndim != 2 or matrix.shape[1] != v.shape[1] or (
         support.shape[0] != v.shape[0]
     ):
@@ -110,10 +112,13 @@ def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) ->
             f"over {support.shape} supports"
         )
     batch = v.shape[0]
+    values = v[0][support[0]] if batch == 1 else v[np.arange(batch)[:, None], support]
+    # one row's few floats are cheaper to check in Python than with a reduction
+    finite = all(map(math.isfinite, values.tolist())) if batch == 1 else np.isfinite(values).all()
+    if not finite:
+        raise ParameterError("v is non-finite on its support")
     if batch == 1:
-        s = support[0]
-        return (matrix[:, s] @ v[0][s])[None]
-    values = v[np.arange(batch)[:, None], support]
+        return (matrix[:, support[0]] @ values)[None]
     # rows per vecmat call, so that the gathered columns stay cache-sized
     step = max(1, _GATHER_BYTES // (8 * matrix.shape[0] * max(support.shape[1], 1)))
     out = np.empty((batch, matrix.shape[0]))
@@ -157,7 +162,7 @@ def nofm(v: FloatVector, params: CodeParams) -> IndexVector:
     ParameterError when v is not a block of length-M rows or has a
     non-finite component.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = check_array("v", v)
     if v.ndim != 2 or v.shape[1] != params.m_total:
         raise ParameterError(f"nofm expects length-{params.m_total} rows, got shape {v.shape}")
     if not np.isfinite(v).all():

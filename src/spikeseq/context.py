@@ -53,14 +53,14 @@ from .codes import (
     to_significance,
     vector_norm,
 )
-from .errors import DegenerateInputError, ParameterError, check_float
+from .errors import DegenerateInputError, ParameterError, check_array, check_float
 
 __all__ = ["ContextConfig", "ContextState", "input_terms", "update_context", "random_projection"]
 
 
-def random_projection(rows: int, cols: int, rng: np.random.Generator) -> FloatVector:
-    """Seeded projection matrix: i.i.d. normal entries, unit-norm columns."""
-    p = rng.normal(size=(rows, cols))
+def random_projection(m: int, rng: np.random.Generator) -> FloatVector:
+    """Seeded (m, m) projection matrix: i.i.d. normal entries, unit-norm columns."""
+    p = rng.normal(size=(m, m))
     p /= np.linalg.norm(p, axis=0, keepdims=True)
     return p
 
@@ -78,28 +78,24 @@ class ContextConfig:
     """Gate, projections and code geometry; the projections are stored column-major.
 
     The gate is a number in [0, 1], stored as a float, and the projections
-    are finite float matrices whose products with N-of-M codes keep a finite
-    norm: ``n_active`` times the largest column norm must have a finite
-    square, so an update never overflows.
+    are finite (M, M) float matrices whose products with N-of-M codes keep
+    a finite norm: ``n_active`` times the largest column norm must have a
+    finite square, so an update never overflows.
     """
 
     lambda_gate: float
-    p1: FloatVector  # context -> context, (M_c, M_c)
-    p2: FloatVector  # input -> context, (M_c, M_i)
+    p1: FloatVector  # context -> context, (M, M)
+    p2: FloatVector  # input -> context, (M, M)
     code_params: CodeParams
 
     def __post_init__(self) -> None:
         gate = check_float("lambda_gate", self.lambda_gate, 0.0, 1.0, closed=True)
         object.__setattr__(self, "lambda_gate", gate)
-        m_c = self.code_params.m_total
+        m = self.code_params.m_total
         for name in ("p1", "p2"):
-            try:
-                p = np.asfortranarray(getattr(self, name), dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ParameterError(f"{name} must be a float matrix") from None
-            if p.ndim != 2 or p.shape[0] != m_c or (name == "p1" and p.shape[1] != m_c):
-                want = f"({m_c}, {m_c})" if name == "p1" else f"({m_c}, M_i)"
-                raise ParameterError(f"{name} must be {want}, got {p.shape}")
+            p = check_array(name, getattr(self, name), order="F")
+            if p.shape != (m, m):
+                raise ParameterError(f"{name} must be ({m}, {m}), got {p.shape}")
             # an N-of-M code x with entries <= 1 has |P x| <= N * (largest
             # column norm): a bound with a finite square keeps every norm of a
             # product finite, and a NaN or inf entry fails it
@@ -117,13 +113,8 @@ class ContextConfig:
     def random(
         cls, lambda_gate: float, code_params: CodeParams, rng: np.random.Generator
     ) -> "ContextConfig":
-        m_c = code_params.m_total
-        return cls(
-            lambda_gate=lambda_gate,
-            p1=random_projection(m_c, m_c, rng),
-            p2=random_projection(m_c, m_c, rng),
-            code_params=code_params,
-        )
+        m = code_params.m_total
+        return cls(lambda_gate, random_projection(m, rng), random_projection(m, rng), code_params)
 
 
 @dataclass(frozen=True)
@@ -143,30 +134,28 @@ class ContextState:
         """The empty history of ``batch`` chains: their first update depends only on its input."""
         return cls(np.zeros((batch, m_total)), np.zeros((batch, 0), dtype=np.intp))
 
-    @property
-    def batch(self) -> int:
-        return self.vector.shape[0]
-
     def take(self, chains) -> "ContextState":
         """The block of the chains selected by an index or boolean array."""
         return ContextState(self.vector[chains], self.support[chains])
 
 
 def input_terms(vectors: FloatVector, supports: IndexVector, cfg: ContextConfig) -> FloatVector:
-    """Input terms ``(1 - gate) * scale(P2 @ x)`` of the rows x of vectors, (A, M_c).
+    """Input terms ``(1 - gate) * scale(P2 @ x)`` of the rows x of vectors, (A, M).
 
     ``supports`` holds the ascending support of each row. Raises
-    ParameterError when the rows are not inputs of ``cfg``.
+    ParameterError when the rows are not finite length-M rows or a row's
+    product with P2 has a norm past the float range.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[1] != cfg.p2.shape[1]:
-        raise ParameterError(
-            f"input has shape {vectors.shape}, expected rows of length {cfg.p2.shape[1]}"
-        )
-    lam = cfg.lambda_gate
-    if lam == 1.0:
-        return np.zeros((vectors.shape[0], cfg.code_params.m_total))
-    return (1.0 - lam) * _scale(support_matvec(cfg.p2, vectors, supports))
+    vectors = check_array("vectors", vectors)
+    m = cfg.code_params.m_total
+    if vectors.ndim != 2 or vectors.shape[1] != m:
+        raise ParameterError(f"input has shape {vectors.shape}, expected rows of length {m}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive = support_matvec(cfg.p2, vectors, supports)
+        finite = np.isfinite(vector_norm(drive)).all()
+    if not finite:
+        raise ParameterError("an input's product with p2 has a norm past the float range")
+    return (1.0 - cfg.lambda_gate) * _scale(drive)
 
 
 def update_context(prev: ContextState, terms: FloatVector, cfg: ContextConfig) -> ContextState:
@@ -177,7 +166,7 @@ def update_context(prev: ContextState, terms: FloatVector, cfg: ContextConfig) -
     drive of a chain is identically zero (possible at a gate boundary with
     a degenerate projection) and ParameterError when it is non-finite.
     """
-    terms = np.asarray(terms, dtype=np.float64)
+    terms = check_array("terms", terms)
     if terms.shape != prev.vector.shape:
         raise ParameterError(f"input terms are {terms.shape}, contexts {prev.vector.shape}")
     lam = cfg.lambda_gate

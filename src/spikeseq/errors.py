@@ -56,3 +56,14 @@ def check_float(
         interval = f"[{low}, {high}]" if closed else f"({low}, {high})"
         raise ParameterError(f"{name} must be a finite number in {interval}, got {value!r}")
     return x
+
+
+def check_array(name: str, value: object, order: str = "K") -> np.ndarray:
+    """``value`` as a float64 array in ``order``; ParameterError when numpy
+    cannot convert it (a str, a complex, a ragged list, an int past the
+    float range). The caller checks the shape.
+    """
+    try:
+        return np.asarray(value, dtype=np.float64, order=order)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name} must be a float matrix") from None

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import FloatVector
-from .errors import ParameterError, check_float, check_int
+from .errors import ParameterError, check_array, check_float, check_int
 
 __all__ = [
     "PosEncParams",
@@ -143,10 +143,7 @@ def gram_matrix(e: FloatVector) -> FloatVector:
     numeric array, or whose gram holds a non-finite entry, is a
     ParameterError.
     """
-    try:
-        e = np.asarray(e, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"an encoding must be a float array: {exc}") from None
+    e = check_array("an encoding", e)
     if e.ndim != 2:
         raise ParameterError(f"an encoding is an (L, d) array, got shape {e.shape}")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -68,7 +68,7 @@ from .codes import (
     vector_norm,
 )
 from .context import ContextState
-from .errors import ParameterError, check_float, check_int
+from .errors import ParameterError, check_array, check_float, check_int
 
 __all__ = [
     "AddressDecoder",
@@ -116,10 +116,7 @@ class AddressDecoder:
 
     def __post_init__(self) -> None:
         m = self.code_params.m_total
-        try:
-            addresses = np.asfortranarray(self.addresses, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ParameterError("addresses must be a float matrix") from None
+        addresses = check_array("addresses", self.addresses, order="F")
         if addresses.ndim != 2 or addresses.shape[1] != m or not addresses.shape[0]:
             raise ParameterError(f"addresses must be (W, {m}) with W >= 1, got {addresses.shape}")
         norms = _row_norms(addresses)
@@ -241,10 +238,10 @@ def cmm_write(
     the block data support x active locations is read and written: outside
     it the outer product is zero and the non-negative matrix keeps its
     value under the max, so a chain with no active location writes nothing.
-    Data that is negative or not finite is a ParameterError: the max would
-    lose it or store NaN.
+    Data that is not a float matrix, negative or not finite is a
+    ParameterError: the max would lose it or store NaN.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = check_array("data", data)
     weights = activation.weights
     if data.ndim != 2 or cmm.w.shape != (data.shape[1], weights.shape[1]) or (
         data.shape[0] != weights.shape[0]

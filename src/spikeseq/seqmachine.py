@@ -62,7 +62,7 @@ from .codes import (
     vector_norm,
 )
 from .context import ContextConfig, ContextState, input_terms, update_context
-from .errors import AlphabetError, DegenerateInputError, ParameterError, check_int
+from .errors import AlphabetError, DegenerateInputError, ParameterError, check_array, check_int
 from .sdm import (
     AddressDecoder,
     CorrelationMatrix,
@@ -168,10 +168,24 @@ class Codebook:
         return cls(code_params, np.array(list(kept), dtype=np.intp))
 
 
+def _check_symbols(symbols: list, size: int) -> None:
+    """AlphabetError unless every symbol is a Python or numpy integer in
+    [0, size); ``bool`` is not a symbol."""
+    for kind in set(map(type, symbols)):
+        if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
+            bad = next(x for x in symbols if type(x) is kind)
+            raise AlphabetError(f"symbol {bad!r} is not an integer")
+    if symbols and not (0 <= min(symbols) and max(symbols) < size):
+        bad = next(x for x in symbols if not 0 <= x < size)
+        raise AlphabetError(f"symbol {bad} outside alphabet of size {size}")
+
+
 def encode_symbol(cb: Codebook, symbol: int) -> FloatVector:
-    """Canonical significance vector of the symbol's code."""
-    if not 0 <= symbol < cb.alphabet_size:
-        raise AlphabetError(f"symbol {symbol} outside alphabet of size {cb.alphabet_size}")
+    """Canonical significance vector of the symbol's code.
+
+    A symbol that is not an integer in the alphabet raises AlphabetError.
+    """
+    _check_symbols([symbol], cb.alphabet_size)
     return cb.encode_matrix[symbol].copy()
 
 
@@ -181,18 +195,20 @@ def decode_burst(cb: Codebook, bursts: FloatVector) -> tuple[IndexVector, FloatV
     Scores every symbol by cosine similarity to each of the (B, M) bursts;
     returns (symbols, margins), each (B,), where a margin is best minus
     second-best score and ties fall to the lower symbol index. Raises
-    ParameterError on a non-finite burst and DegenerateInputError on an
-    all-zero one.
+    ParameterError on bursts that are not a float matrix and on a burst
+    that is non-finite or whose norm is past the float range, and
+    DegenerateInputError on an all-zero one.
     """
-    bursts = np.asarray(bursts, dtype=np.float64)
+    bursts = check_array("bursts", bursts)
     if bursts.ndim != 2 or bursts.shape[1] != cb.encode_matrix.shape[1]:
         raise ParameterError(
             f"bursts have shape {bursts.shape}, expected rows of length {cb.encode_matrix.shape[1]}"
         )
-    bnorm = vector_norm(bursts)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        bnorm = vector_norm(bursts)
     for x in bnorm.tolist():  # a few floats: cheaper in Python than two reductions
         if not x < math.inf:
-            raise ParameterError("burst is non-finite")
+            raise ParameterError("burst is non-finite or too large")
         if x == 0.0:
             raise DegenerateInputError("cannot decode an all-zero burst")
     scores = np.matvec(cb.encode_matrix, bursts) / (cb._row_norms * bnorm[:, None])
@@ -286,8 +302,7 @@ def _symbol_block(m: SequenceMachine, seqs: list[list[int]]) -> tuple[IndexVecto
     longest, and the length of each.
 
     ``seqs`` that is not a collection of symbol sequences raises
-    ParameterError. Python and numpy integers in the alphabet pass as
-    symbols; anything else, ``bool`` included, raises AlphabetError.
+    ParameterError; symbols are checked as :func:`encode_symbol` checks one.
     """
     try:
         seqs = list(seqs)
@@ -295,15 +310,8 @@ def _symbol_block(m: SequenceMachine, seqs: list[list[int]]) -> tuple[IndexVecto
         flat = list(itertools.chain.from_iterable(seqs))
     except TypeError:
         raise ParameterError(f"expected a list of symbol lists, got {seqs!r:.60}") from None
-    for kind in set(map(type, flat)):
-        if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
-            bad = next(x for x in flat if type(x) is kind)
-            raise AlphabetError(f"symbol {bad!r} is not an integer")
-    size = m.codebook.alphabet_size
-    if flat and not (0 <= min(flat) and max(flat) < size):
-        bad = next(x for x in flat if not 0 <= x < size)
-        raise AlphabetError(f"symbol {bad} outside alphabet of size {size}")
-    # exact: every symbol is an integer in [0, size)
+    _check_symbols(flat, m.codebook.alphabet_size)
+    # exact: every symbol is an integer in the alphabet
     values = np.fromiter(flat, dtype=np.intp, count=len(flat))
     width = max(lengths, default=0)
     if values.size == len(seqs) * width:
@@ -422,49 +430,30 @@ def sample_sequences(
 
 
 def capacity_experiment(
-    n_sequences: int = 20,
-    length: int = 8,
-    n_seeds: int = 30,
-    alphabet_size: int = 26,
-    m_total: int = 256,
-    n_active: int = 11,
-    n_locations: int = 512,
-    lambda_gate: float = 0.7,
-    base_seed: int = 0,
+    n_sequences: int = 20, length: int = 8, n_seeds: int = 30, base_seed: int = 0
 ) -> list[float]:
     """Per-seed symbol-exact recall accuracy for one-shot stored sequences.
 
-    Each seed builds a fresh machine, stores n_sequences random sequences
-    once in lockstep, then recalls all of them in lockstep, each from its
-    first symbol, and scores the predicted continuation symbol-by-symbol,
-    so it needs at least one seed and one sequence of two or more symbols.
+    Seed ``base_seed + k`` builds a fresh machine of the default geometry
+    (``SequenceMachine(seed=base_seed + k)``), stores n_sequences random
+    sequences once in lockstep, then recalls all of them in lockstep, each
+    from its first symbol. The accuracy is the share of the
+    ``n_sequences * (length - 1)`` continuation symbols recalled exactly,
+    a symbol after a halt counting as wrong, so it needs at least one seed
+    and one sequence of two or more symbols.
     """
     check_int("n_sequences", n_sequences, 1)
     check_int("length", length, 2)
     check_int("n_seeds", n_seeds, 1)
     accuracies = []
     for k in range(n_seeds):
-        seed = base_seed + k
-        machine = SequenceMachine(
-            alphabet_size=alphabet_size,
-            m_total=m_total,
-            n_active=n_active,
-            n_locations=n_locations,
-            lambda_gate=lambda_gate,
-            seed=seed,
-        )
-        seqs = sample_sequences(
-            np.random.default_rng(seed + 10_000), n_sequences, length, alphabet_size
-        )
+        machine = SequenceMachine(seed=base_seed + k)
+        rng = np.random.default_rng(base_seed + k + 10_000)
+        seqs = sample_sequences(rng, n_sequences, length, machine.codebook.alphabet_size)
         learn_sequences(machine, seqs)
         results = recall_sequences(machine, [s[:1] for s in seqs], length - 1)
-        correct = total = 0
-        for s, result in zip(seqs, results):
-            got = result.symbols
-            for i, want in enumerate(s[1:]):
-                total += 1
-                correct += i < len(got) and got[i] == want
-        accuracies.append(correct / total)
+        correct = sum(a == b for s, r in zip(seqs, results) for a, b in zip(r.symbols, s[1:]))
+        accuracies.append(correct / (n_sequences * (length - 1)))
     return accuracies
 
 

@@ -126,9 +126,11 @@ def wta_attention(
 
     Per query: keys at or above the threshold compete; the n_winners most
     similar (ties to the lower index) contribute their values weighted by
-    similarity, renormalized to sum one. Queries where nothing passes, or
-    where the kept similarities sum to a non-positive value, yield a zero
-    row flagged in ``degenerate``; the latter still report their winners.
+    their similarity clipped at zero, so a negative similarity weighs
+    nothing, renormalized to sum one; every output is thus a convex
+    combination of values. Queries where nothing passes, or where no kept
+    similarity is positive, yield a zero row flagged in ``degenerate``; the
+    latter still report their winners.
     A threshold that is not a finite number, or a query or key whose norm
     overflows, is a ParameterError.
 
@@ -155,7 +157,7 @@ def wta_attention(
     degenerate = count == 0
     for c in (np.flatnonzero(np.bincount(count)[1:]) + 1).tolist():
         rows = np.flatnonzero(count == c)
-        w = top[rows, :c]
+        w = np.maximum(top[rows, :c], 0.0)
         total = w.sum(axis=-1)
         usable = total > 0.0
         degenerate[rows[~usable]] = True
@@ -185,7 +187,6 @@ def compare_attention(
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_BYTES // (8 * (1 + n_k) * d))
-    eye = np.eye(n_k)  # value = one-hot of key index; output reveals the pick
     rows: list[tuple[int, int, int, bool]] = []
     for start in range(0, n_trials, block):
         b = min(block, n_trials - start)
@@ -194,7 +195,7 @@ def compare_attention(
         if unit_norm:
             k = _safe_unit_rows(k)
         soft = np.argmax(q @ k.swapaxes(-1, -2), axis=-1)[:, 0]
-        inp = AttentionInputs(q, k, np.broadcast_to(eye, (b, n_k, n_k)))
+        inp = AttentionInputs(q, k, np.zeros((b, n_k, 0)))  # only the winners are read
         hard = wta_attention(inp, n_winners=1, threshold=-1.0).winners[:, 0, 0]
         agree = (soft == hard).tolist()
         rows.extend(zip(range(start, start + b), soft.tolist(), hard.tolist(), agree))

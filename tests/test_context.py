@@ -79,7 +79,7 @@ def test_gate_boundary_lambda_zero_ignores_history():
     m, n = 32, 4
     p = CodeParams(m, n, 0.8)
     rng = np.random.default_rng(0)
-    cfg = ContextConfig(0.0, random_projection(m, m, rng), random_projection(m, m, rng), p)
+    cfg = ContextConfig(0.0, random_projection(m, rng), random_projection(m, rng), p)
     x = _drawn(p, rng)
     states = [_update(_drawn_state(p, rng), x, cfg) for _ in range(100)]
     ref = states[0].vector
@@ -90,7 +90,7 @@ def test_gate_boundary_lambda_one_ignores_input():
     m, n = 32, 4
     p = CodeParams(m, n, 0.8)
     rng = np.random.default_rng(1)
-    cfg = ContextConfig(1.0, random_projection(m, m, rng), random_projection(m, m, rng), p)
+    cfg = ContextConfig(1.0, random_projection(m, rng), random_projection(m, rng), p)
     prev = _drawn_state(p, rng)
     outs = [_update(prev, _drawn(p, rng), cfg) for _ in range(100)]
     ref = outs[0].vector
@@ -179,10 +179,10 @@ def test_gate_is_stored_as_a_float(gate):
     "p1, p2, match",
     [
         ([[1.0] * 4] * 4, "x", "p2 must be a float matrix"),
-        (np.eye(4), np.ones(4), r"p2 must be \(4, M_i\)"),
+        (np.eye(4), np.ones(4), r"p2 must be \(4, 4\)"),
         (np.ones((4, 3)), np.eye(4), r"p1 must be \(4, 4\)"),
         (np.full((4, 4), np.nan), np.eye(4), "p1 must be finite"),
-        (np.eye(4), np.full((4, 2), np.inf), "p2 must be finite"),
+        (np.eye(4), np.full((4, 4), np.inf), "p2 must be finite"),
     ],
 )
 def test_projections_must_be_finite_float_matrices(p1, p2, match):

@@ -1,4 +1,5 @@
-"""Fuzz the public entry points of posenc, spikeattn and the engine.
+"""Fuzz the public entry points of posenc, spikeattn and the engine, and
+the engine's step kernels.
 
 Each test draws arguments, valid or not: NaN, +-inf, 1e+-300, bools,
 strings, None, ragged lists and arrays of the wrong rank. An entry point
@@ -7,7 +8,8 @@ deadline and without a numeric warning. Every array is at most 8 x 8 (a
 3-D one at most 2 x 8 x 8), every trial count at most 8, an engine has at
 most M=32 neurons, W=64 locations and A=8 symbols, and nothing starts a
 thread. A machine snapshot that was truncated, extended or had one byte
-changed raises ParameterError.
+changed raises ParameterError. A step kernel gets valid arguments of a
+small geometry (M=8, N=3, W=16, A=4) beside the fuzzed array or symbol.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spikeseq.codes import CodeParams, random_firing, to_significance
+from spikeseq.codes import CodeParams, nofm, random_firing, support_matvec, to_significance
 from spikeseq.context import ContextConfig, ContextState, input_terms, update_context
 from spikeseq.errors import ParameterError, SpikeSeqError
 from spikeseq.posenc import (
@@ -37,9 +39,18 @@ from spikeseq.posenc import (
     spike_timing_pe,
     verify_isomorphism,
 )
-from spikeseq.sdm import AddressDecoder, decode_address
+from spikeseq.sdm import (
+    AddressDecoder,
+    CorrelationMatrix,
+    cmm_read,
+    cmm_write,
+    decode_address,
+)
 from spikeseq.seqmachine import (
+    Codebook,
     SequenceMachine,
+    decode_burst,
+    encode_symbol,
     learn_sequences,
     load_machine,
     recall_sequences,
@@ -331,3 +342,64 @@ def test_load_machine(data):
             warnings.simplefilter("error")
             with pytest.raises(ParameterError):
                 load_machine(path)
+
+
+# ---------------------------------------------------------------- kernels
+
+_PARAMS = CodeParams(8, 3, 0.9)
+# rows for a block of two chains, finite or not half the time, else anything
+_ROWS = st.one_of(_arrays((2, 8)), _arrays((2, 8), _FINITE_FLOATS), _ENCODINGS)
+
+
+@functools.cache
+def _parts():
+    """The valid arguments beside a fuzzed one: a codebook, a context
+    configuration, a decoder and two contexts."""
+    rng = np.random.default_rng(0)
+    cb = Codebook.random(4, _PARAMS, rng)
+    cfg = ContextConfig.random(0.5, _PARAMS, rng)
+    firing = random_firing(2, _PARAMS, rng)
+    contexts = ContextState(to_significance(firing, _PARAMS), np.sort(firing, axis=1))
+    return cb, cfg, AddressDecoder.random(16, _PARAMS, 1), contexts
+
+
+@_FUZZ
+@given(v=_ROWS)
+def test_nofm(v):
+    firing = _finite_or_rejected(nofm, v, _PARAMS)
+    if firing is not None:
+        assert firing.shape == (len(v), 3)
+
+
+@_FUZZ
+@given(v=_ROWS)
+def test_support_matvec(v):
+    _, cfg, _, contexts = _parts()
+    _finite_or_rejected(support_matvec, cfg.p1, v, contexts.support)
+
+
+@_FUZZ
+@given(vectors=_ROWS, terms=_ROWS)
+def test_context_kernels(vectors, terms):
+    _, cfg, _, contexts = _parts()
+    _finite_or_rejected(input_terms, vectors, contexts.support, cfg)
+    _finite_or_rejected(update_context, contexts, terms, cfg)
+
+
+@_FUZZ
+@given(data=_ROWS, threshold=st.floats(0.0, 1.0))
+def test_memory_kernels(data, threshold):
+    # a read of what the write stored: active locations from none to all
+    _, _, dec, contexts = _parts()
+    activation = decode_address(contexts, dec, threshold)
+    cmm = _finite_or_rejected(cmm_write, CorrelationMatrix.zeros(8, 16), activation, data)
+    if cmm is not None:
+        _finite_or_rejected(cmm_read, cmm, activation, _PARAMS)
+
+
+@_FUZZ
+@given(bursts=_ROWS, symbol=_SYMBOL)
+def test_codebook_kernels(bursts, symbol):
+    cb = _parts()[0]
+    _finite_or_rejected(decode_burst, cb, bursts)
+    _finite_or_rejected(encode_symbol, cb, symbol)

@@ -57,6 +57,15 @@ def test_encode_symbol_range_checked():
         encode_symbol(m.codebook, -1)
 
 
+@pytest.mark.parametrize("symbol", [True, np.bool_(False), "x", 1.5, np.float64(2.0), None])
+def test_encode_symbol_takes_integer_symbols_only(symbol):
+    # True encoded symbol 1, "x" raised a raw TypeError and 1.5 an IndexError
+    cb = SequenceMachine(seed=0, alphabet_size=5).codebook
+    with pytest.raises(AlphabetError, match="is not an integer"):
+        encode_symbol(cb, symbol)
+    assert np.array_equal(encode_symbol(cb, np.int64(2)), cb.encode_matrix[2])
+
+
 def test_decode_drop_one_spike():
     rng = np.random.default_rng(11)
     cb = Codebook.random(26, CodeParams(256, 11, 0.9), rng)

@@ -284,6 +284,22 @@ def test_wta_takes_values_without_columns(lead):
     assert res.output.shape == lead + (3, 0) and res.winners.shape == lead + (3, 1)
 
 
+@pytest.mark.parametrize(
+    "values, want", [([[1.0], [2.0]], [[1.0]]), ([[1e300], [-1e300]], [[1e300]])]
+)
+def test_wta_weights_are_non_negative(values, want):
+    # the two kept similarities, 1 and about -1, have a tiny positive sum:
+    # unclipped they weighted the values by about +-1e8 (an output of -2.0e8,
+    # and inf with an overflow warning at +-1e300); clipped the negative one
+    # weighs nothing
+    inp = AttentionInputs(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [-1.0, 1e-4]]), values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = wta_attention(inp, n_winners=2, threshold=-1.0)
+    assert res.output.tolist() == want and res.winners.tolist() == [[0, 1]]
+    assert not res.degenerate.any()
+
+
 def test_wta_threshold_must_not_be_nan():
     # a NaN threshold flagged every query as degenerate
     with pytest.raises(ParameterError):

@@ -44,6 +44,7 @@ def _ref_wta_attention(inp, n_winners=1, threshold=0.0):
             continue
         ranked = candidates[np.lexsort((candidates, -row[candidates]))][:n_winners]
         winners.append(ranked)
+        row = np.maximum(row, 0.0)  # a negative similarity weighs nothing
         total = row[ranked].sum()
         if total <= 0.0:
             degenerate[q] = True
