@@ -9,13 +9,14 @@ Codes come in blocks of B along a leading axis, and a single code is a
 block of one: a (B, N) integer array of firing orders is the code itself,
 its (B, M) float64 significance rows are its dense form, and
 ``np.sort(firing, axis=1)`` gives the (B, N) ascending supports.
-``random_firing`` draws firing orders, ``to_significance`` turns them into
-rows, ``nofm`` selects the top N of every row of a (B, M) block,
-``vector_norm`` takes the norm along the last axis, and ``support_matvec``
-multiplies a matrix by every row over the support it is given, so that it
-gathers the N columns of each support and never searches a row for it.
-Each of them gives every row the bits that the same function gives a
-block of that one row.
+``random_firing`` draws firing orders, ``check_firing`` checks a block of
+them that comes from outside (the codebook's and the address decoder's),
+``to_significance`` turns them into rows, ``nofm`` selects the top N of
+every row of a (B, M) block, ``vector_norm`` takes the norm along the
+last axis, and ``support_matvec`` multiplies a matrix by every row over
+the support it is given, so that it gathers the N columns of each support
+and never searches a row for it. Each of them gives every row the bits
+that the same function gives a block of that one row.
 
 ``nofm(v, params)`` selects codes of the geometry it is given: N is
 ``params.n_active``, and rows whose length is not ``params.m_total`` are a
@@ -35,6 +36,7 @@ from .errors import ParameterError, check_array, check_float, check_int
 __all__ = [
     "CodeParams",
     "random_firing",
+    "check_firing",
     "to_significance",
     "vector_norm",
     "support_matvec",
@@ -69,9 +71,14 @@ class CodeParams:
                 f"need n_active <= m_total, got N={self.n_active}, M={self.m_total}"
             )
         object.__setattr__(self, "alpha", check_float("alpha", self.alpha, 0.0, 1.0))
-        sig = self.alpha ** np.arange(self.n_active, dtype=np.float64)
-        sig.flags.writeable = False
-        object.__setattr__(self, "significances", sig)
+        freeze_arrays(self, significances=self.alpha ** np.arange(self.n_active, dtype=np.float64))
+
+
+def freeze_arrays(value: object, **arrays: np.ndarray) -> None:
+    """Make ``arrays`` read-only and set them as fields of the frozen dataclass ``value``."""
+    for name, array in arrays.items():
+        array.flags.writeable = False
+        object.__setattr__(value, name, array)
 
 
 def vector_norm(v: FloatVector) -> FloatVector:
@@ -145,6 +152,33 @@ def random_firing(n: int, params: CodeParams, rng: np.random.Generator) -> Index
         rng.permuted(block, axis=1, out=block)
         firing[lo : lo + len(block)] = block[:, : params.n_active]
     return firing
+
+
+def check_firing(firing: object, params: CodeParams) -> IndexVector:
+    """``firing`` as a new (B, N) intp block of B >= 1 codes of ``params``.
+
+    Raises ParameterError on input numpy cannot make an array of (a ragged
+    list), on anything but a 2-D integer array (a bool, float, str or
+    object array among them, which is what ints past the int64 range
+    give), on zero rows or a width other than N, on an index outside
+    [0, M) and on an index repeated within a row.
+    """
+    try:
+        block = np.asarray(firing)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError("firing must be a block of integer codes") from None
+    if block.ndim != 2 or not block.shape[0] or block.shape[1] != params.n_active:
+        raise ParameterError(
+            f"firing must be a (B, N) block of at least one code, expected "
+            f"N={params.n_active}, got shape {block.shape}"
+        )
+    if block.dtype.kind not in "iu":
+        raise ParameterError(f"firing indices must be integers, got dtype {block.dtype}")
+    if block.min() < 0 or block.max() >= params.m_total:
+        raise ParameterError(f"firing indices must lie in [0, {params.m_total})")
+    if (np.diff(np.sort(block, axis=1), axis=1) == 0).any():
+        raise ParameterError("the indices of a code must be distinct")
+    return block.astype(np.intp)  # a copy: the caller's array stays writeable
 
 
 def to_significance(firing: IndexVector, params: CodeParams, order: str = "C") -> FloatVector:

@@ -7,13 +7,17 @@ Storage is a correlation matrix updated by the elementwise max of the
 outer product of the data significance vector with the activation
 pattern, which makes writes idempotent and order-independent.
 
-Similarity and selection are kept apart. An :class:`AddressDecoder` is a
-frozen value, the W addresses and their row norms, computed once at
-construction. The threshold, Kanerva's activation radius, is the selection
-rule: :func:`calibrate_threshold` picks one for a decoder, its owner keeps
-it, and every :func:`decode_address` call takes it as an argument. The
-correlation matrix is the one value that changes: a write updates it in
-place.
+Every address is an N-of-M code. An :class:`AddressDecoder` is a frozen
+value over the (W, N) block of their firing orders, as the codebook is
+over the block of its symbols' codes: at construction it checks the block
+(:func:`~spikeseq.codes.check_firing`) and derives, once, the addresses'
+significance rows and their row norms.
+
+Similarity and selection are kept apart. The threshold, Kanerva's
+activation radius, is the selection rule: :func:`calibrate_threshold`
+picks one for a decoder, its owner keeps it, and every
+:func:`decode_address` call takes it as an argument. The correlation
+matrix is the one value that changes: a write updates it in place.
 
 Every kernel serves a block of B chains along a leading axis: addressing
 takes a :class:`~spikeseq.context.ContextState` of B contexts and returns
@@ -46,8 +50,11 @@ cosine levels that addressing computes (or the midpoint of two, when the
 median of an even probe count falls between them), so ``sims >= threshold``
 decides exact float ties. Addressing and calibration therefore share one
 similarity function, ``_address_similarity``: one kernel, one set of float
-guards and the decoder's cached row norms, row-major bit for bit.
-Calibration feeds its probe contexts through it in blocks.
+guards and the decoder's cached row norms. The norms are those of
+row-major significance rows, built from the firing block a few hundred
+codes at a time: the column-major address matrix would reduce each row in
+another order and move the last ulp of some of them. Calibration feeds its
+probe contexts through the function in blocks.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ from .codes import (
     CodeParams,
     FloatVector,
     IndexVector,
+    check_firing,
+    freeze_arrays,
     nofm,
     random_firing,
     support_matvec,
@@ -80,55 +89,45 @@ __all__ = [
     "calibrate_threshold",
 ]
 
-_NORM_BLOCK = 512  # rows per row-major block in _row_norms
+_NORM_BLOCK = 512  # addresses per row-major significance block of the norms
 _N_PROBES = 200  # seeded probe contexts per threshold calibration
 _PROBE_BLOCK = 25  # probe contexts per addressing call in calibration
 
 
-def _row_norms(rows: FloatVector) -> FloatVector:
-    """``np.linalg.norm(rows, axis=1)`` bit for bit as on a row-major matrix.
-
-    A column-major matrix reduces each row in another order, which moves
-    the last ulp of some norms and flips active locations that sit exactly
-    on the threshold. Blocks keep the row-major copies small. A norm that
-    overflows is +inf, without a warning.
-    """
-    with np.errstate(over="ignore"):
-        blocks = [
-            np.linalg.norm(np.ascontiguousarray(rows[i : i + _NORM_BLOCK]), axis=1)
-            for i in range(0, rows.shape[0], _NORM_BLOCK)
-        ]
-    return np.concatenate(blocks) if blocks else np.zeros(0)
-
-
 @dataclass(frozen=True)
 class AddressDecoder:
-    """W address codes, fixed at construction, and their cached row norms.
+    """W address codes, fixed at construction: row w of ``firing`` is location w's.
 
-    The addresses are stored column-major; every row must be finite and
-    have a positive norm, since its cosine with any context is otherwise
-    undefined. The norms are computed once, here.
+    ``firing`` is a (W, N) integer block of firing orders, checked as the
+    codebook's is (:func:`~spikeseq.codes.check_firing`). The decoder
+    derives once, here, the column-major (W, M) significance rows that
+    addressing gathers from and their row norms, and keeps all of its
+    arrays read-only. Every row is a code, so every norm is finite and at
+    least 1.
     """
 
-    addresses: FloatVector  # (W, M) stacked significance vectors, column-major
+    firing: IndexVector  # (W, N) firing orders, one code per location
     code_params: CodeParams
-    _row_norms: FloatVector = field(init=False, repr=False)
+    addresses: FloatVector = field(init=False, repr=False)  # (W, M), column-major
+    _row_norms: FloatVector = field(init=False, repr=False)  # (W,) norms of addresses
 
     def __post_init__(self) -> None:
-        m = self.code_params.m_total
-        addresses = check_array("addresses", self.addresses, order="F")
-        if addresses.ndim != 2 or addresses.shape[1] != m or not addresses.shape[0]:
-            raise ParameterError(f"addresses must be (W, {m}) with W >= 1, got {addresses.shape}")
-        norms = _row_norms(addresses)
-        bad = ~(np.isfinite(norms) & (norms > 0.0))
-        if bad.any():
-            raise ParameterError(f"address row {int(np.argmax(bad))} has no finite positive norm")
-        object.__setattr__(self, "addresses", addresses)
-        object.__setattr__(self, "_row_norms", norms)
+        p = self.code_params
+        firing = check_firing(self.firing, p)
+        # the norms of row-major rows: a column-major row reduces in another
+        # order, which moves the last ulp of some norms and flips locations
+        # that sit exactly on the threshold; blocks keep the copies small
+        norms = np.concatenate([
+            np.linalg.norm(to_significance(firing[i : i + _NORM_BLOCK], p), axis=1)
+            for i in range(0, firing.shape[0], _NORM_BLOCK)
+        ])
+        freeze_arrays(
+            self, firing=firing, addresses=to_significance(firing, p, order="F"), _row_norms=norms
+        )
 
     @property
     def n_locations(self) -> int:
-        return self.addresses.shape[0]
+        return self.firing.shape[0]
 
     @classmethod
     def random(cls, n_locations: int, code_params: CodeParams, seed: int) -> "AddressDecoder":
@@ -140,7 +139,7 @@ class AddressDecoder:
         check_int("n_locations", n_locations, 1)
         check_int("seed", seed, 0, 2**63)
         firing = random_firing(n_locations, code_params, np.random.default_rng(seed))
-        return cls(to_significance(firing, code_params, order="F"), code_params)
+        return cls(firing, code_params)
 
 
 @dataclass(frozen=True)
@@ -220,9 +219,16 @@ class CorrelationMatrix:
 
     ``zeros`` and ``load_machine`` store it column-major, so that a read
     gathers whole location columns; any layout gives the same results.
+    Anything but a 2-D float64 ndarray is a ParameterError: a write into an
+    integer matrix would truncate what it stores. The values are checked
+    where they enter, by ``cmm_write`` and ``load_machine``.
     """
 
     w: FloatVector
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.w, np.ndarray) and self.w.ndim == 2 and self.w.dtype == np.float64):
+            raise ParameterError(f"the matrix must be a 2-D float64 array, got {self.w!r:.60}")
 
     @classmethod
     def zeros(cls, data_dim: int, n_locations: int) -> "CorrelationMatrix":

@@ -57,6 +57,8 @@ from .codes import (
     CodeParams,
     FloatVector,
     IndexVector,
+    check_firing,
+    freeze_arrays,
     random_firing,
     to_significance,
     vector_norm,
@@ -101,9 +103,10 @@ _CRC = struct.Struct("<I")
 class Codebook:
     """Alphabet of A pairwise-distinct rank-ordered codes: row a of ``firing`` is symbol a's.
 
-    ``firing`` is an (A, N) integer block of firing orders. The codebook
-    derives the rows every step reads once, at construction, and keeps all
-    of its arrays read-only.
+    ``firing`` is an (A, N) integer block of firing orders, checked by
+    :func:`~spikeseq.codes.check_firing`. The codebook derives the rows
+    every step reads once, at construction, and keeps all of its arrays
+    read-only.
     """
 
     code_params: CodeParams
@@ -113,32 +116,14 @@ class Codebook:
     _row_norms: FloatVector = field(init=False, repr=False)  # (A,) norms of encode_matrix
 
     def __post_init__(self) -> None:
-        p, firing = self.code_params, np.asarray(self.firing)
-        if firing.ndim != 2:
-            raise ParameterError(f"firing must be an (A, N) block, got shape {firing.shape}")
-        if not firing.shape[0]:
-            raise ParameterError("a codebook needs at least one code")
-        if firing.shape[1] != p.n_active:
-            raise ParameterError(f"codes have {firing.shape[1]} indices, expected N={p.n_active}")
-        if firing.dtype.kind not in "iu":
-            raise ParameterError(f"firing indices must be integers, got dtype {firing.dtype}")
-        firing = firing.astype(np.intp)  # a copy: the caller's array stays writeable
-        if firing.min() < 0 or firing.max() >= p.m_total:
-            raise ParameterError(f"firing indices must lie in [0, {p.m_total})")
+        p = self.code_params
+        firing = check_firing(self.firing, p)
         supports = np.sort(firing, axis=1)
-        if (supports[:, 1:] == supports[:, :-1]).any():
-            raise ParameterError("the indices of a code must be distinct")
         if len(set(map(tuple, firing.tolist()))) != len(firing):
             raise ParameterError("codebook codes must be pairwise distinct")
         encode = to_significance(firing, p)
-        for name, value in (
-            ("firing", firing),
-            ("encode_matrix", encode),
-            ("supports", supports),
-            ("_row_norms", np.linalg.norm(encode, axis=1)),
-        ):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        freeze_arrays(self, firing=firing, encode_matrix=encode, supports=supports,
+                      _row_norms=np.linalg.norm(encode, axis=1))
 
     @property
     def alphabet_size(self) -> int:

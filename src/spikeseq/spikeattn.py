@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import FloatVector, IndexVector
-from .errors import ParameterError, check_float, check_int
+from .errors import ParameterError, check_array, check_float, check_int
 
 __all__ = [
     "AttentionInputs",
@@ -50,10 +50,7 @@ class AttentionInputs:
 
     def __post_init__(self) -> None:
         for name in ("queries", "keys", "values"):
-            try:
-                arr = np.asarray(getattr(self, name), dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"{name} must be a float array: {exc}") from None
+            arr = check_array(name, getattr(self, name))
             if arr.ndim not in (2, 3):
                 raise ParameterError(f"{name} must be 2-D or 3-D, got {arr.ndim}-D")
             if not np.isfinite(arr).all():

@@ -9,7 +9,10 @@ deadline and without a numeric warning. Every array is at most 8 x 8 (a
 most M=32 neurons, W=64 locations and A=8 symbols, and nothing starts a
 thread. A machine snapshot that was truncated, extended or had one byte
 changed raises ParameterError. A step kernel gets valid arguments of a
-small geometry (M=8, N=3, W=16, A=4) beside the fuzzed array or symbol.
+small geometry (M=8, N=3, W=16, A=4) beside the fuzzed array or symbol,
+and so do the values built from outside input: an address decoder or a
+codebook from a fuzzed firing block, a correlation matrix from a fuzzed
+matrix (at most 16 on a side).
 """
 
 import dataclasses
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from spikeseq.codes import CodeParams, nofm, random_firing, support_matvec, to_significance
 from spikeseq.context import ContextConfig, ContextState, input_terms, update_context
@@ -289,29 +292,6 @@ def test_context_config(lambda_gate, m, data):
             _finite_or_rejected(update_context, codes, terms, cfg)
 
 
-@_FUZZ
-@given(
-    n_locations=st.one_of(st.integers(-1, 64), _SCALARS),
-    seed=st.one_of(_INTS, st.integers(0, 2**64)),
-    threshold=_UNIT,
-    data=st.data(),
-)
-def test_address_decoder(n_locations, seed, threshold, data):
-    params = CodeParams(8, 3, 0.9)
-    if data.draw(st.booleans()):
-        addresses = data.draw(_arrays(st.tuples(st.integers(0, 8), st.just(8)), _FLOATS))
-    else:
-        addresses = data.draw(_ENCODINGS)
-    firing = random_firing(2, params, np.random.default_rng(0))
-    contexts = ContextState(to_significance(firing, params), np.sort(firing, axis=1))
-    for dec in (
-        _finite_or_rejected(AddressDecoder, addresses, params),
-        _finite_or_rejected(AddressDecoder.random, n_locations, params, seed),
-    ):
-        if dec is not None:
-            _finite_or_rejected(decode_address, contexts, dec, threshold)
-
-
 @functools.cache
 def _snapshot() -> bytes:
     """The file of a small machine that stored a few sequences."""
@@ -403,3 +383,71 @@ def test_codebook_kernels(bursts, symbol):
     cb = _parts()[0]
     _finite_or_rejected(decode_burst, cb, bursts)
     _finite_or_rejected(encode_symbol, cb, symbol)
+
+
+# ---------------------------------------------------------------- values
+
+# firing blocks of N=3 codes over M=8: valid ones, integer blocks with
+# indices out of range or repeated, past int64, float, ragged and junk
+_FIRING = st.one_of(
+    st.lists(st.permutations(range(8)).map(lambda order: order[:3]), min_size=1, max_size=8),
+    arrays(np.intp, st.tuples(st.integers(0, 8), st.integers(0, 4)), elements=st.integers(-2, 9)),
+    arrays(np.uint64, st.tuples(st.integers(0, 4), st.just(3)), elements=st.integers(0, 2**64 - 1)),
+    st.lists(st.lists(st.integers(-2**70, 2**70), min_size=3, max_size=3), max_size=4),
+    _MATRICES,
+    _RAGGED,
+    _JUNK,
+)
+
+
+@_FUZZ
+@given(
+    firing=_FIRING,
+    n_locations=st.one_of(st.integers(-1, 64), _SCALARS),
+    seed=st.one_of(_INTS, st.integers(0, 2**64)),
+    threshold=_UNIT,
+)
+def test_address_decoder(firing, n_locations, seed, threshold):
+    contexts = _parts()[3]
+    for dec in (
+        _finite_or_rejected(AddressDecoder, firing, _PARAMS),
+        _finite_or_rejected(AddressDecoder.random, n_locations, _PARAMS, seed),
+    ):
+        if dec is not None:
+            _finite_or_rejected(decode_address, contexts, dec, threshold)
+
+
+@_FUZZ
+@given(firing=_FIRING, bursts=_ROWS)
+@example(firing=[[1, 2, 3], [4]], bursts=np.ones((1, 8)))  # ragged: numpy's ValueError before
+def test_codebook(firing, bursts):
+    cb = _finite_or_rejected(Codebook, _PARAMS, firing)
+    if cb is not None:
+        _finite_or_rejected(decode_burst, cb, bursts)
+
+
+# the values a matrix may hold, in arrays of any rank and dtype and in
+# what is no ndarray: the constructor checks the type, rank and dtype
+_MEMORY_ARRAYS = arrays(
+    st.sampled_from([np.float64, np.float32, np.int64]),
+    st.one_of(st.just((8, 16)), array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=16)),
+    elements=st.integers(0, 3),
+)
+_MEMORIES = st.one_of(_MEMORY_ARRAYS, _MEMORY_ARRAYS.map(np.ndarray.tolist), _RAGGED, _JUNK)
+
+
+@_FUZZ
+@given(w=_MEMORIES, threshold=st.floats(0.0, 1.0))
+@example(w=np.zeros((8, 16), dtype=np.int64), threshold=0.0)  # truncated every write before
+def test_correlation_matrix(w, threshold):
+    _, _, dec, contexts = _parts()
+    activation = decode_address(contexts, dec, threshold)
+    cmm = _finite_or_rejected(CorrelationMatrix, w)
+    if cmm is None:
+        return
+    _finite_or_rejected(cmm_read, cmm, activation, _PARAMS)
+    data = np.full((2, 8), 0.9)
+    if _finite_or_rejected(cmm_write, cmm, activation, data) is not None:
+        # the written cells hold at least the products of the write
+        for b, cols in enumerate(activation.active):
+            assert (cmm.w[:, cols] >= np.outer(data[b], activation.weights[b, cols])).all()

@@ -336,46 +336,44 @@ def test_active_set_matches_dense_reference_at_calibrated_threshold(n_locations)
             np.testing.assert_allclose(weights[active], ref[active], rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
-def test_decoder_rejects_degenerate_address_row(bad):
-    rows = _decoder().addresses.copy()
-    rows[3] = 0.0
-    rows[3, 0] = bad
-    with pytest.raises(ParameterError, match="row 3"):
-        AddressDecoder(rows, CodeParams(16, 4, 0.9))
-
-
 def test_decoder_is_fixed_at_construction():
-    # the threshold belongs to the caller: the decoder holds addresses, code
-    # geometry and the row norms it computed once
+    # the threshold belongs to the caller: the decoder holds its firing block,
+    # code geometry, and the addresses and row norms it derived once
     dec = _decoder()
     init = [f.name for f in dataclasses.fields(dec) if f.init]
-    assert init == ["addresses", "code_params"]
+    assert init == ["firing", "code_params"]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        dec.addresses = dec.addresses.copy()
+        dec.firing = dec.firing.copy()
     with pytest.raises(dataclasses.FrozenInstanceError):
         dec.threshold = 0.5
-    rows = dec.addresses.tolist()  # any float matrix: stored column-major
-    again = AddressDecoder(rows, dec.code_params)
-    assert again.addresses.flags.f_contiguous
+    for array in (dec.firing, dec.addresses, dec._row_norms):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert dec.addresses.flags.f_contiguous
+    firing = dec.firing.tolist()  # any integer block: the decoder keeps an intp copy
+    again = AddressDecoder(firing, dec.code_params)
+    assert again.firing.dtype == np.intp
     assert again._row_norms.tobytes() == dec._row_norms.tobytes()
 
 
-@pytest.mark.parametrize(
-    "bad", ["x", None, [[1.0, 2.0], [3.0]], np.ones(16), np.ones((2, 15)), np.ones((0, 16))]
-)
-def test_decoder_rejects_what_is_not_an_address_matrix(bad):
-    with pytest.raises(ParameterError, match="addresses"):
-        AddressDecoder(bad, CodeParams(16, 4, 0.9))
+# the norms are taken over blocks of _NORM_BLOCK = 512 rows: both sides of one block
+@pytest.mark.parametrize("n_locations", [1, 511, 512, 513, 4096])
+def test_decoder_norms_are_those_of_the_row_major_addresses(n_locations):
+    p = CodeParams(256, 11, 0.9)
+    for seed in range(2):
+        dec = AddressDecoder.random(n_locations, p, seed)
+        want = np.linalg.norm(np.ascontiguousarray(dec.addresses), axis=1)
+        assert dec._row_norms.tobytes() == want.tobytes()
 
 
-def test_decoder_rejects_a_row_norm_that_overflows_without_a_warning():
-    rows = _decoder().addresses.copy()
-    rows[2, rows[2] > 0] = 1e200
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ParameterError, match="row 2"):
-            AddressDecoder(rows, CodeParams(16, 4, 0.9))
+@pytest.mark.parametrize("seed", [0, 7])
+def test_decoder_random_is_the_decoder_of_its_draws(seed):
+    p = CodeParams(32, 5, 0.8)
+    dec = AddressDecoder.random(40, p, seed)
+    again = AddressDecoder(random_firing(40, p, np.random.default_rng(seed)), p)
+    for f in dataclasses.fields(dec):
+        a, b = getattr(dec, f.name), getattr(again, f.name)
+        assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
 
 
 @pytest.mark.parametrize("theta", [0, 0.0, 1, 1.0, np.float64(0.25), np.int64(1)])
@@ -461,6 +459,19 @@ def test_write_idempotent_and_order_independent(shape, data):
     cmm = CorrelationMatrix(start.copy(order="A"))
     cmm_write(cmm, *writes[-1])
     assert np.array_equal(cmm.w, start)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["x", None, [[0.0, 1.0]], np.zeros(4), np.zeros((2, 4, 3)),
+     np.zeros((4, 3), dtype=np.int64), np.zeros((4, 3), dtype=np.float32)],
+    ids=["str", "none", "list", "1-d", "3-d", "int64", "float32"],
+)
+def test_correlation_matrix_is_a_2d_float64_array(bad):
+    # before: "x" failed in a read with AttributeError, a 1-D matrix with
+    # IndexError, and an integer matrix stored every write truncated
+    with pytest.raises(ParameterError, match="2-D float64"):
+        CorrelationMatrix(bad)
 
 
 # random_firing permutes blocks of 128 rows: sizes on both sides of one block

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from spikeseq import seqmachine
 from spikeseq.codes import CodeParams
 from spikeseq.errors import AlphabetError, DegenerateInputError, ParameterError
-from spikeseq.sdm import calibrate_threshold
+from spikeseq.sdm import AddressDecoder, calibrate_threshold
 from spikeseq.seqmachine import (
     Codebook,
     SequenceMachine,
@@ -243,26 +244,46 @@ def test_codebook_larger_than_code_space_rejected():
         Codebook.random(5, p, np.random.default_rng(0))
 
 
+_INVALID_FIRING = [
+    ("not-2d", np.array([0, 1]), "block"),
+    ("empty", np.zeros((0, 2), dtype=np.intp), "at least one code"),
+    ("width", np.array([[1]]), "expected N=2"),
+    ("float-dtype", np.array([[0.0, 1.0]]), "integers"),
+    ("index-above-m", np.array([[1, 4]]), r"\[0, 4\)"),
+    ("negative-index", np.array([[-1, 2]]), r"\[0, 4\)"),
+    ("repeated-index", np.array([[1, 1]]), "indices of a code must be distinct"),
+    ("ragged", [[1, 2], [3]], "block"),
+    ("str", "x", "block"),
+    ("none", None, "block"),
+    ("bool-dtype", np.array([[True, False]]), "integers"),
+    ("past-int64", [[2**70, 1]], "integers"),  # an object array
+    ("past-intp", np.array([[2**63, 1]], dtype=np.uint64), r"\[0, 4\)"),
+]
+
+
+def _decoder(p, firing):
+    return AddressDecoder(firing, p)
+
+
+# the decoder rejects every block the codebook rejects, equal codes aside
 @pytest.mark.parametrize(
-    "firing, match",
-    [
-        (np.array([0, 1]), "block"),
-        (np.zeros((0, 2), dtype=np.intp), "at least one code"),
-        (np.array([[1]]), "expected N=2"),
-        (np.array([[0.0, 1.0]]), "integers"),
-        (np.array([[1, 4]]), r"\[0, 4\)"),
-        (np.array([[-1, 2]]), r"\[0, 4\)"),
-        (np.array([[1, 1]]), "indices of a code must be distinct"),
-        (np.array([[0, 1], [2, 3], [0, 1]]), "pairwise distinct"),
-    ],
-    ids=["not-2d", "empty", "width", "float-dtype", "index-above-m", "negative-index",
-         "repeated-index", "equal-rows"],
+    "make, firing, match",
+    [pytest.param(Codebook, f, m, id=name) for name, f, m in _INVALID_FIRING]
+    + [pytest.param(Codebook, np.array([[0, 1], [2, 3], [0, 1]]), "pairwise distinct",
+                    id="equal-rows")]
+    + [pytest.param(_decoder, f, m, id=f"decoder-{name}") for name, f, m in _INVALID_FIRING],
 )
-def test_codebook_rejects_invalid_firing(firing, match):
+def test_codebook_rejects_invalid_firing(make, firing, match):
     p = CodeParams(4, 2, 0.5)
     with pytest.raises(ParameterError, match=match):
-        Codebook(p, firing)
-    assert Codebook(p, np.array([[1, 0], [0, 1], [3, 2]], dtype=np.uint8)).alphabet_size == 3
+        make(p, firing)
+    assert make(p, np.array([[1, 0], [0, 1], [3, 2]], dtype=np.uint8)).firing.shape == (3, 2)
+
+
+def test_decoder_takes_equal_addresses():
+    # random addresses may repeat; only the codebook needs distinct codes
+    dec = AddressDecoder(np.array([[0, 1], [2, 3], [0, 1]]), CodeParams(4, 2, 0.5))
+    assert dec.n_locations == 3 and dec._row_norms[0] == dec._row_norms[2]
 
 
 def test_codebook_is_a_frozen_value():
@@ -608,3 +629,38 @@ def test_snapshot_arguments_are_checked_like_the_constructor(tmp_path):
     path.write_bytes(_resealed(seqmachine._HEADER.pack(*fields) + raw[seqmachine._HEADER.size :]))
     with pytest.raises(ParameterError, match="lambda_gate"):
         load_machine(path)
+
+
+# written by the code before the address decoder took firing blocks: the
+# machine of tests/test_fuzz.py's snapshot (seed 3), which stored
+# [[0, 1, 2, 3], [3, 2, 1]]
+_V2_FILE = Path(__file__).parent / "data" / "machine_v2.seqm"
+_V2_RECALL = [  # per cue [0], [3], [2]: symbols, margins, confidences, halt reason
+    ([1, 1, 1], ["0x1.5839e21527ef6p-2"] * 3,
+     ["0x1.3647f04de5b20p+1", "0x1.3c9fa7f89be0cp+1", "0x1.4311f2c6605acp-1"],
+     "no active memory location"),
+    ([3, 1, 1], ["0x1.2ca07c91b4538p-4", "0x1.9f3b03bf593e7p-2", "0x1.5839e21527ef6p-2"],
+     ["0x1.02cc308a5ad50p+1", "0x1.82608fd5fa8a4p+1", "0x1.4311f2c6605acp-1"],
+     "no active memory location"),
+    ([1, 2, 3, 1],
+     ["0x1.0000000000001p+0", "0x1.05986114b5a9ep-2", "0x1.6816816816800p-7",
+      "0x1.5839e21527ef6p-2"],
+     ["0x1.07efa3d19e668p+1", "0x1.1b4a80b3612cbp+0", "0x1.75b51cf903850p-1",
+      "0x1.30627e205360fp-1"],
+     None),
+]
+
+
+def test_a_version_2_snapshot_loads_and_recalls_as_when_it_was_written(tmp_path):
+    m = load_machine(_V2_FILE)  # the rebuilt threshold matched the stored one
+    assert m.threshold.hex() == "0x1.9f3b03bf593e6p-2"
+    results = recall_sequences(m, [[0], [3], [2]], 4)
+    got = [(r.symbols, [s.margin.hex() for s in r.steps],
+            [s.confidence.hex() for s in r.steps], r.halt_reason) for r in results]
+    assert got == _V2_RECALL
+    # the same machine, built and taught afresh, writes the same bytes
+    fresh = SequenceMachine(alphabet_size=4, m_total=8, n_active=3, n_locations=6,
+                            target_active=2, seed=3)
+    learn_sequences(fresh, [[0, 1, 2, 3], [3, 2, 1]])
+    save_machine(tmp_path / "again.seqm", fresh)
+    assert (tmp_path / "again.seqm").read_bytes() == _V2_FILE.read_bytes()

@@ -205,6 +205,8 @@ def test_inputs_that_are_not_float_arrays_are_rejected():
         AttentionInputs([["a", "b"]], [[1.0, 0.0]], [[1.0]])
     with pytest.raises(ParameterError):
         AttentionInputs([1.0, 2.0], [[1.0, 0.0]], [[1.0]])  # 1-D
+    with pytest.raises(ParameterError, match="queries"):
+        AttentionInputs([[10**400, 1.0]], [[1.0, 0.0]], [[1.0]])  # past the float range
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
