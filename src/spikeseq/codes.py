@@ -41,9 +41,6 @@ __all__ = [
     "vector_norm",
     "support_matvec",
     "nofm",
-    "info_bits_ordered",
-    "info_bits_unordered",
-    "info_ratio",
 ]
 
 FloatVector = NDArray[np.float64]
@@ -211,28 +208,3 @@ def nofm(v: FloatVector, params: CodeParams) -> IndexVector:
     part.partition(n - 1, axis=1)
     neg[neg > part[:, n - 1, None]] = np.inf
     return neg.argsort(axis=1, kind="stable")[:, :n]
-
-
-def _check_nm(n: int, m: int) -> None:
-    if not 1 <= n <= m:
-        raise ParameterError(f"need 1 <= n <= m, got n={n}, m={m}")
-
-
-def info_bits_ordered(n: int, m: int) -> float:
-    """Information content of an ordered n-of-m code: log2(m!/(m-n)!).
-
-    Counts are exact big integers, so there is no factorial overflow.
-    """
-    _check_nm(n, m)
-    return math.log2(math.perm(m, n))
-
-
-def info_bits_unordered(n: int, m: int) -> float:
-    """Information content of an unordered n-of-m code: log2(C(m, n))."""
-    _check_nm(n, m)
-    return math.log2(math.comb(m, n))
-
-
-def info_ratio(n: int, m: int) -> float:
-    """Ratio of ordered to unordered information content."""
-    return info_bits_ordered(n, m) / info_bits_unordered(n, m)

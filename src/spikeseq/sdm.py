@@ -94,6 +94,12 @@ _N_PROBES = 200  # seeded probe contexts per threshold calibration
 _PROBE_BLOCK = 25  # probe contexts per addressing call in calibration
 
 
+def _check_float_matrix(name: str, value: object) -> None:
+    """Raise ParameterError unless ``value`` is a 2-D float64 ndarray."""
+    if not (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64):
+        raise ParameterError(f"{name} must be a 2-D float64 array, got {value!r:.60}")
+
+
 @dataclass(frozen=True)
 class AddressDecoder:
     """W address codes, fixed at construction: row w of ``firing`` is location w's.
@@ -148,15 +154,15 @@ class ActivationPattern:
 
     ``active[b]`` holds chain b's locations with a non-zero weight,
     ascending; they are found once, when the pattern is made, and reads and
-    writes use them.
+    writes use them. Weights that are not a 2-D float64 ndarray are a
+    ParameterError.
     """
 
     weights: FloatVector
     active: list[IndexVector] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.weights.ndim != 2:
-            raise ParameterError(f"weights must be (B, W), got shape {self.weights.shape}")
+        _check_float_matrix("weights", self.weights)
         # one search per chain: cheaper than a 2-D nonzero at one chain, and
         # reads and writes take a chain's locations without slicing them out
         object.__setattr__(self, "active", [(w != 0.0).nonzero()[0] for w in self.weights])
@@ -170,11 +176,6 @@ class ActivationPattern:
     def counts(self) -> list[int]:
         """Active locations per chain."""
         return [a.size for a in self.active]
-
-    @property
-    def totals(self) -> FloatVector:
-        """(B,) summed weight per chain."""
-        return self.weights.sum(axis=1)
 
 
 def _address_similarity(context: ContextState, dec: AddressDecoder) -> FloatVector:
@@ -227,8 +228,7 @@ class CorrelationMatrix:
     w: FloatVector
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.w, np.ndarray) and self.w.ndim == 2 and self.w.dtype == np.float64):
-            raise ParameterError(f"the matrix must be a 2-D float64 array, got {self.w!r:.60}")
+        _check_float_matrix("the matrix", self.w)
 
     @classmethod
     def zeros(cls, data_dim: int, n_locations: int) -> "CorrelationMatrix":
@@ -285,7 +285,7 @@ def cmm_read(
         readout[b] = cmm.w[:, cols] @ weights[b][cols]
     # the sum over all W weights, not only the active ones: another summation
     # order would move the last ulp of the confidence
-    confidence = np.where(readout.any(axis=1), activation.totals, 0.0)
+    confidence = np.where(readout.any(axis=1), weights.sum(axis=1), 0.0)
     return nofm(readout, params), confidence
 
 

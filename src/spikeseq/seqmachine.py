@@ -299,8 +299,6 @@ def _symbol_block(m: SequenceMachine, seqs: list[list[int]]) -> tuple[IndexVecto
     # exact: every symbol is an integer in the alphabet
     values = np.fromiter(flat, dtype=np.intp, count=len(flat))
     width = max(lengths, default=0)
-    if values.size == len(seqs) * width:
-        return values.reshape(len(seqs), width), lengths
     block = np.zeros((len(seqs), width), dtype=np.intp)
     block[np.arange(width) < np.array(lengths)[:, None]] = values
     return block, lengths

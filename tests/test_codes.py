@@ -9,9 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from spikeseq.codes import (
     CodeParams,
-    info_bits_ordered,
-    info_bits_unordered,
-    info_ratio,
     nofm,
     random_firing,
     support_matvec,
@@ -193,55 +190,6 @@ def test_is_canonical():
     assert is_canonical(np.array([0.5, 0.0, 1.0, 0.0]), p)
     assert not is_canonical(np.array([0.5, 0.0, 0.9, 0.0]), p)
     assert not is_canonical(np.array([0.5, 1.0, 1.0, 0.0]), p)
-
-
-def test_info_bits_small_exact():
-    assert info_bits_ordered(1, 8) == 3.0
-    assert info_bits_unordered(1, 8) == 3.0
-    assert info_bits_unordered(4, 4) == 0.0
-    # enumeration oracle at n=2, m=4
-    n_ordered = len(list(itertools.permutations(range(4), 2)))
-    n_unordered = len(list(itertools.combinations(range(4), 2)))
-    assert n_ordered == 12 and n_unordered == 6
-    assert info_bits_ordered(2, 4) == pytest.approx(math.log2(12), abs=1e-12)
-    assert info_bits_unordered(2, 4) == pytest.approx(math.log2(6), abs=1e-12)
-
-
-def test_info_bits_enumeration_oracle_sweep():
-    for m in range(1, 9):
-        for n in range(1, m + 1):
-            assert info_bits_ordered(n, m) == pytest.approx(
-                math.log2(len(list(itertools.permutations(range(m), n)))), abs=1e-10
-            )
-            assert info_bits_unordered(n, m) == pytest.approx(
-                math.log2(len(list(itertools.combinations(range(m), n)))), abs=1e-10
-            )
-
-
-def test_info_ordered_dominates_unordered_sweep():
-    for m in range(1, 33):
-        for n in range(1, m + 1):
-            o = info_bits_ordered(n, m)
-            u = info_bits_unordered(n, m)
-            assert o >= u
-            if n == 1:
-                assert o == u
-            else:
-                assert o > u
-
-
-def test_info_bits_rejects_bad_range():
-    with pytest.raises(ParameterError):
-        info_bits_ordered(5, 4)
-    with pytest.raises(ParameterError):
-        info_bits_unordered(0, 4)
-
-
-def test_info_ratio_at_paper_scale():
-    # the claimed factor is 6.7; the formulas as stated give ~210x
-    r = info_ratio(255, 256)
-    assert r == pytest.approx(math.log2(math.factorial(256)) / 8.0, rel=1e-12)
-    assert 200.0 < r < 220.0
 
 
 def test_earlier_rank_agreement_dominates():

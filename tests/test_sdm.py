@@ -139,7 +139,7 @@ def test_single_pattern_exact_recall():
     cmm_write(cmm, act, to_significance(data_code, p))
     got, confidence = cmm_read(cmm, act, p)
     assert np.array_equal(got, data_code)
-    assert confidence[0] == pytest.approx(act.totals[0])
+    assert confidence[0] == pytest.approx(act.weights.sum(axis=1)[0])
 
 
 def test_empty_memory_read_flags_zero_confidence():
@@ -461,17 +461,28 @@ def test_write_idempotent_and_order_independent(shape, data):
     assert np.array_equal(cmm.w, start)
 
 
-@pytest.mark.parametrize(
+_NOT_FLOAT_MATRICES = pytest.mark.parametrize(
     "bad",
     ["x", None, [[0.0, 1.0]], np.zeros(4), np.zeros((2, 4, 3)),
      np.zeros((4, 3), dtype=np.int64), np.zeros((4, 3), dtype=np.float32)],
     ids=["str", "none", "list", "1-d", "3-d", "int64", "float32"],
 )
+
+
+@_NOT_FLOAT_MATRICES
 def test_correlation_matrix_is_a_2d_float64_array(bad):
     # before: "x" failed in a read with AttributeError, a 1-D matrix with
     # IndexError, and an integer matrix stored every write truncated
     with pytest.raises(ParameterError, match="2-D float64"):
         CorrelationMatrix(bad)
+
+
+@_NOT_FLOAT_MATRICES
+def test_activation_pattern_is_a_2d_float64_array(bad):
+    # before: a str, None or a list raised AttributeError, and int64 or
+    # float32 weights were accepted
+    with pytest.raises(ParameterError, match="2-D float64"):
+        ActivationPattern(bad)
 
 
 # random_firing permutes blocks of 128 rows: sizes on both sides of one block
@@ -495,7 +506,6 @@ def test_activation_pattern_carries_its_active_locations():
     act = ActivationPattern(weights[None])
     assert act.active[0].tolist() == [1, 3, 5, 7]
     assert act.n_active == 4
-    assert act.totals[0] == float(weights.sum())
     dec = _decoder()
     rng = np.random.default_rng(3)
     for _ in range(50):
