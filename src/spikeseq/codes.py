@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ParameterError, check_array, check_float, check_int
+from .errors import DegenerateInputError, ParameterError, check_array, check_float, check_int
 
 __all__ = [
     "CodeParams",
@@ -39,6 +39,7 @@ __all__ = [
     "check_firing",
     "to_significance",
     "vector_norm",
+    "query_norms",
     "support_matvec",
     "nofm",
 ]
@@ -72,7 +73,8 @@ class CodeParams:
 
 
 def freeze_arrays(value: object, **arrays: np.ndarray) -> None:
-    """Make ``arrays`` read-only and set them as fields of the frozen dataclass ``value``."""
+    """Make ``arrays`` read-only and set them as attributes of ``value``, a
+    frozen dataclass or any object."""
     for name, array in arrays.items():
         array.flags.writeable = False
         object.__setattr__(value, name, array)
@@ -86,6 +88,23 @@ def vector_norm(v: FloatVector) -> FloatVector:
     overhead; a 1-D vector gives a scalar.
     """
     return np.sqrt(np.vecdot(v, v))
+
+
+def query_norms(name: str, queries: FloatVector) -> FloatVector:
+    """The norms of the rows of ``queries``, each finite and non-zero.
+
+    Raises ParameterError, whose message holds "non-finite", on a row that
+    is not finite or whose norm is past the float range (no overflow
+    warning), and DegenerateInputError on an all-zero row.
+    """
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        norms = vector_norm(queries)
+    for x in norms.tolist():  # a few floats: cheaper in Python than two reductions
+        if not x < math.inf:
+            raise ParameterError(f"{name} is non-finite or too large")
+        if x == 0.0:
+            raise DegenerateInputError(f"{name} is all-zero")
+    return norms
 
 
 def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) -> FloatVector:

@@ -26,11 +26,12 @@ of a codebook, and an update adds the row of each chain's input to its
 history term. The arithmetic is the same as computing the term at every
 step, so the states are bit-identical.
 
-The projections are stored column-major. The history and the input are
-N-of-M codes that carry their ascending support, so each product gathers
-only the N projection columns of that support
-(:func:`~spikeseq.codes.support_matvec`); the empty start history has a
-width-0 support and a zero history term.
+The projections are drawn, not supplied: a :class:`ContextConfig` draws
+P1 and P2 from the generator it is built with and keeps them column-major
+and read-only. The history and the input are N-of-M codes that carry
+their ascending support, so each product gathers only the N projection
+columns of that support (:func:`~spikeseq.codes.support_matvec`); the
+empty start history has a width-0 support and a zero history term.
 
 State is a value: :class:`ContextState` is immutable, ``update_context``
 returns a new one, and callers keep it in a local variable, so any number
@@ -39,8 +40,7 @@ of chains can run over one configuration.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .codes import (
     CodeParams,
     FloatVector,
     IndexVector,
+    freeze_arrays,
     nofm,
     support_matvec,
     to_significance,
@@ -55,14 +56,7 @@ from .codes import (
 )
 from .errors import DegenerateInputError, ParameterError, check_array, check_float
 
-__all__ = ["ContextConfig", "ContextState", "input_terms", "update_context", "random_projection"]
-
-
-def random_projection(m: int, rng: np.random.Generator) -> FloatVector:
-    """Seeded (m, m) projection matrix: i.i.d. normal entries, unit-norm columns."""
-    p = rng.normal(size=(m, m))
-    p /= np.linalg.norm(p, axis=0, keepdims=True)
-    return p
+__all__ = ["ContextConfig", "ContextState", "input_terms", "update_context"]
 
 
 def _scale(v: FloatVector) -> FloatVector:
@@ -75,46 +69,34 @@ def _scale(v: FloatVector) -> FloatVector:
 
 @dataclass(frozen=True)
 class ContextConfig:
-    """Gate, projections and code geometry; the projections are stored column-major.
+    """Gate and code geometry, and the two projections drawn from ``rng``.
 
-    The gate is a number in [0, 1], stored as a float, and the projections
-    are finite (M, M) float matrices whose products with N-of-M codes keep
-    a finite norm: ``n_active`` times the largest column norm must have a
-    finite square, so an update never overflows.
+    The gate is a number in [0, 1], stored as a float. ``rng`` must be a
+    ``np.random.Generator``; the (M, M) projections P1 (history) and P2
+    (input) are drawn from it in that order, each as i.i.d. normal entries
+    with every column divided by its norm, and stored column-major and
+    read-only. A machine of seed s draws its projections from
+    ``np.random.default_rng(np.random.SeedSequence(s).spawn(3)[1])``, so a
+    config built from an equal generator has that machine's projections
+    under another gate.
     """
 
     lambda_gate: float
-    p1: FloatVector  # context -> context, (M, M)
-    p2: FloatVector  # input -> context, (M, M)
     code_params: CodeParams
+    rng: InitVar[np.random.Generator]
+    p1: FloatVector = field(init=False, repr=False)  # context -> context, (M, M)
+    p2: FloatVector = field(init=False, repr=False)  # input -> context, (M, M)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rng: np.random.Generator) -> None:
         gate = check_float("lambda_gate", self.lambda_gate, 0.0, 1.0, closed=True)
         object.__setattr__(self, "lambda_gate", gate)
+        if not isinstance(rng, np.random.Generator):
+            raise ParameterError(f"rng must be a numpy Generator, got {rng!r:.60}")
         m = self.code_params.m_total
-        for name in ("p1", "p2"):
-            p = check_array(name, getattr(self, name), order="F")
-            if p.shape != (m, m):
-                raise ParameterError(f"{name} must be ({m}, {m}), got {p.shape}")
-            # an N-of-M code x with entries <= 1 has |P x| <= N * (largest
-            # column norm): a bound with a finite square keeps every norm of a
-            # product finite, and a NaN or inf entry fails it
-            with np.errstate(over="ignore"):
-                largest = float(vector_norm(p.T).max(initial=0.0))
-            bound = int(self.code_params.n_active) * largest  # a Python float: no warning
-            if not bound * bound < math.inf:
-                raise ParameterError(
-                    f"{name} must be finite, with n_active x its largest column norm "
-                    "below the square root of the float range"
-                )
-            object.__setattr__(self, name, p)
-
-    @classmethod
-    def random(
-        cls, lambda_gate: float, code_params: CodeParams, rng: np.random.Generator
-    ) -> "ContextConfig":
-        m = code_params.m_total
-        return cls(lambda_gate, random_projection(m, rng), random_projection(m, rng), code_params)
+        # P1 is drawn and scaled before P2 is drawn: fewer (M, M) arrays alive at once
+        p1, p2 = [np.divide(p, np.linalg.norm(p, axis=0), order="F")
+                  for p in (rng.normal(size=(m, m)) for _ in range(2))]
+        freeze_arrays(self, p1=p1, p2=p2)
 
 
 @dataclass(frozen=True)
@@ -163,8 +145,10 @@ def update_context(prev: ContextState, terms: FloatVector, cfg: ContextConfig) -
 
     ``terms[b]`` is the input term of chain b's input (a row of
     :func:`input_terms`). Raises DegenerateInputError when the blended
-    drive of a chain is identically zero (possible at a gate boundary with
-    a degenerate projection) and ParameterError when it is non-finite.
+    drive of a chain is identically zero: at gate 1 from the empty start
+    history, whose input terms are all zero, or at gate 0 (or from the
+    empty start history) on an all-zero row of terms. Raises
+    ParameterError when the drive is non-finite.
     """
     terms = check_array("terms", terms)
     if terms.shape != prev.vector.shape:

@@ -58,12 +58,13 @@ def check_float(
     return x
 
 
-def check_array(name: str, value: object, order: str = "K") -> np.ndarray:
-    """``value`` as a float64 array in ``order``; ParameterError when numpy
-    cannot convert it (a str, a complex, a ragged list, an int past the
-    float range). The caller checks the shape.
+def check_array(name: str, value: object) -> np.ndarray:
+    """``value`` as a float64 array: an array keeps its memory order, and a
+    float64 one is returned as it is. ParameterError when numpy cannot
+    convert it (a str, a complex, a ragged list, an int past the float
+    range). The caller checks the shape and the values.
     """
     try:
-        return np.asarray(value, dtype=np.float64, order=order)
+        return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{name} must be a float matrix") from None

@@ -59,7 +59,6 @@ probe contexts through the function in blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,10 +70,10 @@ from .codes import (
     check_firing,
     freeze_arrays,
     nofm,
+    query_norms,
     random_firing,
     support_matvec,
     to_significance,
-    vector_norm,
 )
 from .context import ContextState
 from .errors import ParameterError, check_array, check_float, check_int
@@ -98,6 +97,13 @@ def _check_float_matrix(name: str, value: object) -> None:
     """Raise ParameterError unless ``value`` is a 2-D float64 ndarray."""
     if not (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64):
         raise ParameterError(f"{name} must be a 2-D float64 array, got {value!r:.60}")
+
+
+def _check_non_negative(name: str, values: FloatVector) -> None:
+    """Raise ParameterError unless every entry of ``values`` is finite and non-negative."""
+    # two reductions and no temporaries: NaN fails the first comparison
+    if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) < np.inf):
+        raise ParameterError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -181,14 +187,10 @@ class ActivationPattern:
 def _address_similarity(context: ContextState, dec: AddressDecoder) -> FloatVector:
     """Cosine of each context with every address: (B, W) values in [0, 1].
 
-    Raises ParameterError on an all-zero or non-finite context.
+    Raises ParameterError on a non-finite context and DegenerateInputError
+    on an all-zero one (:func:`~spikeseq.codes.query_norms`).
     """
-    cnorm = vector_norm(context.vector)
-    for x in cnorm.tolist():  # a few floats: cheaper in Python than two reductions
-        if not x < math.inf:
-            raise ParameterError("context vector is non-finite")
-        if x == 0.0:
-            raise ParameterError("context vector is all-zero")
+    cnorm = query_norms("context vector", context.vector)
     sims = support_matvec(dec.addresses, context.vector, context.support)
     sims /= dec._row_norms * cnorm[:, None]
     # float guards: cosine of non-negative codes lies in [0, 1], and a context
@@ -205,8 +207,8 @@ def decode_address(
     """Similarity of each context to every address, gated by the threshold.
 
     Locations whose similarity reaches ``threshold``, a number in [0, 1],
-    are active. Raises ParameterError on another threshold and on an
-    all-zero or non-finite context.
+    are active. Raises ParameterError on another threshold and on a
+    non-finite context, and DegenerateInputError on an all-zero one.
     """
     threshold = check_float("threshold", threshold, 0.0, 1.0, closed=True)
     sims = _address_similarity(context, dec)
@@ -244,8 +246,9 @@ def cmm_write(
     the block data support x active locations is read and written: outside
     it the outer product is zero and the non-negative matrix keeps its
     value under the max, so a chain with no active location writes nothing.
-    Data that is not a float matrix, negative or not finite is a
-    ParameterError: the max would lose it or store NaN.
+    Data that is not a float matrix, and data or activation weights that
+    are negative or not finite, are a ParameterError: the max would lose
+    them or store NaN; the matrix is then unchanged.
     """
     data = check_array("data", data)
     weights = activation.weights
@@ -255,13 +258,16 @@ def cmm_write(
         raise ParameterError(
             f"matrix is {cmm.w.shape}, write is {data.shape} data x {weights.shape} weights"
         )
-    # two reductions and no temporaries: NaN fails the first comparison
-    if not (data.min(initial=0.0) >= 0.0 and data.max(initial=0.0) < np.inf):
-        raise ParameterError("data must be finite and non-negative")
+    _check_non_negative("data", data)
+    # a NaN, inf or negative weight is non-zero, so it is active: checking
+    # every chain's active weights before the first write is enough
+    active_weights = [weights[b][cols] for b, cols in enumerate(activation.active)]
+    for w in active_weights:
+        _check_non_negative("activation weights", w)
     for b, cols in enumerate(activation.active):
         rows = (data[b] != 0.0).nonzero()[0]
         block = (rows[:, None], cols)
-        cmm.w[block] = np.maximum(cmm.w[block], np.outer(data[b][rows], weights[b][cols]))
+        cmm.w[block] = np.maximum(cmm.w[block], np.outer(data[b][rows], active_weights[b]))
     return cmm
 
 

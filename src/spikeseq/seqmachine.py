@@ -59,15 +59,16 @@ from .codes import (
     IndexVector,
     check_firing,
     freeze_arrays,
+    query_norms,
     random_firing,
     to_significance,
-    vector_norm,
 )
 from .context import ContextConfig, ContextState, input_terms, update_context
-from .errors import AlphabetError, DegenerateInputError, ParameterError, check_array, check_int
+from .errors import AlphabetError, ParameterError, check_array, check_int
 from .sdm import (
     AddressDecoder,
     CorrelationMatrix,
+    _check_non_negative,
     calibrate_threshold,
     cmm_read,
     cmm_write,
@@ -189,13 +190,7 @@ def decode_burst(cb: Codebook, bursts: FloatVector) -> tuple[IndexVector, FloatV
         raise ParameterError(
             f"bursts have shape {bursts.shape}, expected rows of length {cb.encode_matrix.shape[1]}"
         )
-    with np.errstate(over="ignore"):  # a norm past the float range is inf
-        bnorm = vector_norm(bursts)
-    for x in bnorm.tolist():  # a few floats: cheaper in Python than two reductions
-        if not x < math.inf:
-            raise ParameterError("burst is non-finite or too large")
-        if x == 0.0:
-            raise DegenerateInputError("cannot decode an all-zero burst")
+    bnorm = query_norms("burst", bursts)
     scores = np.matvec(cb.encode_matrix, bursts) / (cb._row_norms * bnorm[:, None])
     best = scores.argmax(axis=1)
     a = cb.alphabet_size
@@ -234,8 +229,10 @@ class SequenceMachine:
     rejected. ``input_table`` holds the input term of every codeword, (A, M),
     and ``threshold`` the activation threshold calibrated for the decoder.
     ``seed`` and ``target_active`` keep the two constructor arguments that
-    no other part holds, so that the machine can be saved. Only ``memory``
-    changes after construction.
+    no other part holds, so that the machine can be saved. Every array the
+    machine holds but ``memory.w`` is read-only; its attributes are not
+    frozen, and ``input_table`` is derived from ``codebook`` and
+    ``context_cfg`` once, at construction.
     """
 
     def __init__(
@@ -270,12 +267,9 @@ class SequenceMachine:
         self.codebook = Codebook.random(
             alphabet_size, self.params, np.random.default_rng(ss[0])
         )
-        self.context_cfg = ContextConfig.random(
-            lambda_gate, self.params, np.random.default_rng(ss[1])
-        )
-        self.input_table = input_terms(
-            self.codebook.encode_matrix, self.codebook.supports, self.context_cfg
-        )
+        self.context_cfg = ContextConfig(lambda_gate, self.params, np.random.default_rng(ss[1]))
+        table = input_terms(self.codebook.encode_matrix, self.codebook.supports, self.context_cfg)
+        freeze_arrays(self, input_table=table)
         self.threshold = calibrate_threshold(
             self.decoder, target_active, seed=int(ss[2].generate_state(1)[0])
         )
@@ -488,8 +482,6 @@ def load_machine(path) -> SequenceMachine:
     if m.threshold.hex() != threshold.hex():
         raise ParameterError(f"rebuilt threshold {m.threshold!r} is not the stored {threshold!r}")
     w = np.frombuffer(body, dtype="<f8").reshape(shape).astype(np.float64, order="F")
-    # two reductions and no temporaries: NaN fails the first comparison
-    if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
-        raise ParameterError("snapshot memory must be finite and non-negative")
+    _check_non_negative("snapshot memory", w)
     m.memory = CorrelationMatrix(w)
     return m

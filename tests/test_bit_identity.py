@@ -9,7 +9,6 @@ everything it returns must be bit-identical: the memory bytes, symbols,
 margins, confidences and halt reasons.
 """
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikeseq.context import ContextConfig
 from spikeseq.errors import DegenerateInputError, ParameterError
 from spikeseq.sdm import CorrelationMatrix
 from spikeseq.seqmachine import (
@@ -208,7 +208,9 @@ def test_full_gate_raises_like_reference():
     with pytest.raises(ParameterError, match="empty start history"):
         SequenceMachine(lambda_gate=1.0)
     m = SequenceMachine(seed=3)
-    m.context_cfg = dataclasses.replace(m.context_cfg, lambda_gate=1.0)
+    m.context_cfg = ContextConfig(
+        1.0, m.params, np.random.default_rng(np.random.SeedSequence(3).spawn(3)[1])
+    )
     ref = _Reference(m)
     seqs = sample_sequences(np.random.default_rng(4), 4, 6, 26)
     outcomes = [_outcome(ref.learn, s) for s in seqs]

@@ -109,6 +109,21 @@ def test_write_rejects_non_finite_or_negative_data(bad):
     assert cmm.w[2].tolist() == [0.25, 0.25, 0.25]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_write_rejects_non_finite_or_negative_weights(bad):
+    # a NaN or inf weight is non-zero, so its location was active, and the
+    # max rule stored NaN or inf there; the bad weight of the second chain is
+    # found before the first chain writes
+    cmm = CorrelationMatrix.zeros(4, 3)
+    cmm.w[1, 1] = 0.3
+    before = cmm.w.tobytes()
+    data = np.array([[0.0, 1.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.5]])
+    weights = np.array([[0.0, 0.5, 0.25], [bad, 0.5, 0.0]])
+    with pytest.raises(ParameterError, match="activation weights must be finite and non-negative"):
+        cmm_write(cmm, ActivationPattern(weights), data)
+    assert cmm.w.tobytes() == before
+
+
 def test_write_order_independence():
     rng = np.random.default_rng(7)
     p = CodeParams(32, 5, 0.8)
@@ -400,6 +415,18 @@ def test_decode_rejects_non_finite_context(bad):
     ctx[0] = bad
     with pytest.raises(ParameterError, match="non-finite"):
         _decode(ctx, dec, 0.5)
+
+
+def test_decode_rejects_contexts_past_the_float_range_and_all_zero_ones():
+    # a context of 1e300 entries warned of an overflow in the norm before it
+    # raised, and an all-zero one raised ParameterError, unlike a zero burst
+    dec = _decoder()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="non-finite"):
+            _decode(np.full(16, 1e300), dec, 0.5)
+        with pytest.raises(DegenerateInputError, match="all-zero"):
+            decode_address(ContextState.start(16, 1), dec, 0.5)
 
 
 def test_snapshot_rejects_truncated_and_overlong_files(tmp_path):

@@ -508,6 +508,42 @@ def test_machine_holds_its_threshold_seed_and_target_active():
     assert not hasattr(m.decoder, "threshold")
 
 
+def _random_projection(m, rng):
+    """The projection draw that callers made before configs drew their own."""
+    p = rng.normal(size=(m, m))
+    p /= np.linalg.norm(p, axis=0, keepdims=True)
+    return p
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_machine_projections_are_the_draws_of_its_seed(seed):
+    m = SequenceMachine(seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+    for p in (m.context_cfg.p1, m.context_cfg.p2):  # drawn P1 first
+        assert p.tobytes(order="F") == _random_projection(256, rng).tobytes(order="F")
+        assert p.flags.f_contiguous and not p.flags.writeable
+
+
+def _arrays_held(value):
+    """Every ndarray reachable from the attributes of value, with its path."""
+    if isinstance(value, np.ndarray):
+        return [("", value)]
+    if not (dataclasses.is_dataclass(value) or isinstance(value, SequenceMachine)):
+        return []
+    return [(f".{name}{path}", array) for name, v in vars(value).items()
+            for path, array in _arrays_held(v)]
+
+
+def test_every_array_of_a_machine_but_its_memory_is_read_only():
+    # the input table is derived from the codebook and the projections once:
+    # writing into an array of either would make it stale (rebinding the
+    # machine's attributes is not ruled out)
+    held = dict(_arrays_held(SequenceMachine(alphabet_size=5, m_total=32, n_locations=40)))
+    assert {".input_table", ".context_cfg.p1", ".context_cfg.p2", ".codebook.encode_matrix",
+            ".decoder.addresses", ".params.significances", ".memory.w"} <= held.keys()
+    assert [path for path, a in held.items() if a.flags.writeable] == [".memory.w"]
+
+
 @pytest.mark.parametrize("gate", ["x", None, True, math.nan, math.inf, -0.5, 2.0])
 def test_machine_rejects_a_gate_that_is_not_in_the_unit_interval(gate):
     # "x" and None raised a raw TypeError from the range comparison
