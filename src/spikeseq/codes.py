@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateInputError, ParameterError, check_array, check_float, check_int
+from .errors import DegenerateInputError, ParameterError, check_float, check_int, check_matrix
 
 __all__ = [
     "CodeParams",
@@ -115,8 +115,10 @@ def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) ->
     may hold zeros of ``v[b]`` as well); the caller carries it with the
     code, so it is not searched for here. A width-0 support gives zero
     rows. Equal to the dense product up to summation order (the last ulp).
-    Raises ParameterError when v is not a float matrix or is non-finite on
-    a support.
+    Raises ParameterError when v is not a float matrix as wide as the
+    matrix (:func:`~spikeseq.errors.check_matrix`), when the supports are
+    not a 2-D block of one row per row of v, and when v is non-finite on a
+    support.
 
     The block gathers each support's rows of ``matrix.T``, which are
     contiguous when the matrix is column-major, and multiplies them with
@@ -126,14 +128,9 @@ def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) ->
     columns stay near 256 KiB, which keeps them in cache and the memory
     peak low; a block of one row takes the 2-D product, which costs less.
     """
-    v, support = check_array("v", v), np.asarray(support)
-    if v.ndim != 2 or support.ndim != 2 or matrix.shape[1] != v.shape[1] or (
-        support.shape[0] != v.shape[0]
-    ):
-        raise ParameterError(
-            f"cannot multiply a {matrix.shape} matrix by {v.shape} rows "
-            f"over {support.shape} supports"
-        )
+    v, support = check_matrix("v", v, cols=matrix.shape[1]), np.asarray(support)
+    if support.ndim != 2 or support.shape[0] != v.shape[0]:
+        raise ParameterError(f"support has shape {support.shape}, expected ({v.shape[0]}, K)")
     batch = v.shape[0]
     values = v[0][support[0]] if batch == 1 else v[np.arange(batch)[:, None], support]
     # one row's few floats are cheaper to check in Python than with a reduction
@@ -198,9 +195,17 @@ def check_firing(firing: object, params: CodeParams) -> IndexVector:
 
 
 def to_significance(firing: IndexVector, params: CodeParams, order: str = "C") -> FloatVector:
-    """(B, M) significance rows of the (B, N) firing orders: alpha**k at firing[b, k]."""
+    """(B, M) significance rows of the (B, N) firing orders: alpha**k at firing[b, k].
+
+    The orders are not range-checked (:func:`check_firing` is the check of
+    orders from outside): an index of M or more and a float index are a
+    ParameterError, and a negative index counts from the end, as numpy's do.
+    """
     rows = np.zeros((firing.shape[0], params.m_total), order=order)
-    rows[np.arange(firing.shape[0])[:, None], firing] = params.significances
+    try:  # costs nothing when nothing is raised
+        rows[np.arange(firing.shape[0])[:, None], firing] = params.significances
+    except IndexError:
+        raise ParameterError(f"firing indices must be integers below {params.m_total}") from None
     return rows
 
 
@@ -209,12 +214,10 @@ def nofm(v: FloatVector, params: CodeParams) -> IndexVector:
 
     Ordering is by descending component value; exact ties break toward the
     lower index, which keeps every downstream result reproducible. Raises
-    ParameterError when v is not a block of length-M rows or has a
-    non-finite component.
+    ParameterError when v is not a (B, M) float matrix
+    (:func:`~spikeseq.errors.check_matrix`) or has a non-finite component.
     """
-    v = check_array("v", v)
-    if v.ndim != 2 or v.shape[1] != params.m_total:
-        raise ParameterError(f"nofm expects length-{params.m_total} rows, got shape {v.shape}")
+    v = check_matrix("v", v, cols=params.m_total)
     if not np.isfinite(v).all():
         raise ParameterError("nofm input is non-finite")
     # the order of np.lexsort((index, -row))[:n]: every index whose value

@@ -54,7 +54,7 @@ from .codes import (
     to_significance,
     vector_norm,
 )
-from .errors import DegenerateInputError, ParameterError, check_array, check_float
+from .errors import DegenerateInputError, ParameterError, check_float, check_matrix
 
 __all__ = ["ContextConfig", "ContextState", "input_terms", "update_context"]
 
@@ -67,7 +67,7 @@ def _scale(v: FloatVector) -> FloatVector:
     return v / n[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContextConfig:
     """Gate and code geometry, and the two projections drawn from ``rng``.
 
@@ -99,7 +99,7 @@ class ContextConfig:
         freeze_arrays(self, p1=p1, p2=p2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContextState:
     """Contexts of B chains: (B, M) significance rows and their ascending supports.
 
@@ -125,13 +125,11 @@ def input_terms(vectors: FloatVector, supports: IndexVector, cfg: ContextConfig)
     """Input terms ``(1 - gate) * scale(P2 @ x)`` of the rows x of vectors, (A, M).
 
     ``supports`` holds the ascending support of each row. Raises
-    ParameterError when the rows are not finite length-M rows or a row's
-    product with P2 has a norm past the float range.
+    ParameterError when the vectors are not an (A, M) float matrix
+    (:func:`~spikeseq.errors.check_matrix`), are not finite on their
+    supports, or a row's product with P2 has a norm past the float range.
     """
-    vectors = check_array("vectors", vectors)
-    m = cfg.code_params.m_total
-    if vectors.ndim != 2 or vectors.shape[1] != m:
-        raise ParameterError(f"input has shape {vectors.shape}, expected rows of length {m}")
+    vectors = check_matrix("vectors", vectors, cols=cfg.code_params.m_total)
     with np.errstate(over="ignore", invalid="ignore"):
         drive = support_matvec(cfg.p2, vectors, supports)
         finite = np.isfinite(vector_norm(drive)).all()
@@ -148,11 +146,11 @@ def update_context(prev: ContextState, terms: FloatVector, cfg: ContextConfig) -
     drive of a chain is identically zero: at gate 1 from the empty start
     history, whose input terms are all zero, or at gate 0 (or from the
     empty start history) on an all-zero row of terms. Raises
-    ParameterError when the drive is non-finite.
+    ParameterError when the terms do not have the (B, M) shape of the
+    contexts' vectors (the message names them "input terms") and when the
+    drive is non-finite.
     """
-    terms = check_array("terms", terms)
-    if terms.shape != prev.vector.shape:
-        raise ParameterError(f"input terms are {terms.shape}, contexts {prev.vector.shape}")
+    terms = check_matrix("input terms", terms, *prev.vector.shape)
     lam = cfg.lambda_gate
     blend = terms
     if lam > 0.0 and prev.support.shape[1]:

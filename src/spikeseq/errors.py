@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the number checks that raise one."""
+"""Exception types shared across the package, and the argument checks that raise one.
+
+``check_int`` and ``check_float`` check a number. ``check_array`` converts
+an argument to a float64 array, and ``check_matrix`` is the array boundary
+of every step kernel and of the posenc checks: it converts a float matrix
+argument and checks its 2-D shape, so a kernel states only the sizes it
+needs. The caller checks the values.
+"""
 
 import math
 
@@ -62,9 +69,29 @@ def check_array(name: str, value: object) -> np.ndarray:
     """``value`` as a float64 array: an array keeps its memory order, and a
     float64 one is returned as it is. ParameterError when numpy cannot
     convert it (a str, a complex, a ragged list, an int past the float
-    range). The caller checks the shape and the values.
+    range). The caller checks the shape and the values; ``check_matrix``
+    checks a 2-D shape as well.
     """
     try:
-        return np.asarray(value, dtype=np.float64)
+        return np.asarray(value, dtype=float)  # float64, named the cheapest way
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{name} must be a float matrix") from None
+
+
+def check_matrix(name: str, value: object, rows: int | None = None, cols: int | None = None):
+    """``value`` as a 2-D float64 array of ``rows`` rows and ``cols`` columns.
+
+    Converts as :func:`check_array` does. ``None`` accepts any number of
+    rows or columns. ParameterError when the value does not convert, or when
+    its shape is not the expected one: the message names the argument, its
+    shape and the expected shape, as in ``v has shape (1, 8), expected
+    (B, 4)``, where B stands for any number of rows and d for any number of
+    columns.
+    """
+    m = check_array(name, value)
+    if m.ndim != 2 or (rows is not None and m.shape[0] != rows) or (
+        cols is not None and m.shape[1] != cols
+    ):
+        expected = f"({'B' if rows is None else rows}, {'d' if cols is None else cols})"
+        raise ParameterError(f"{name} has shape {m.shape}, expected {expected}")
+    return m

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import FloatVector
-from .errors import ParameterError, check_array, check_float, check_int
+from .errors import ParameterError, check_float, check_int, check_matrix
 
 __all__ = [
     "PosEncParams",
@@ -140,12 +140,10 @@ def gram_matrix(e: FloatVector) -> FloatVector:
     """The (L, L) dot products of an (L, d) encoding's rows; every entry finite.
 
     The input check of every posenc check: an encoding that is not a 2-D
-    numeric array, or whose gram holds a non-finite entry, is a
-    ParameterError.
+    float matrix (:func:`~spikeseq.errors.check_matrix`), or whose gram
+    holds a non-finite entry, is a ParameterError.
     """
-    e = check_array("an encoding", e)
-    if e.ndim != 2:
-        raise ParameterError(f"an encoding is an (L, d) array, got shape {e.shape}")
+    e = check_matrix("an encoding", e)
     with np.errstate(over="ignore", invalid="ignore"):
         g = e @ e.T
     if not np.isfinite(g).all():

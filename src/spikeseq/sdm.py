@@ -76,7 +76,7 @@ from .codes import (
     to_significance,
 )
 from .context import ContextState
-from .errors import ParameterError, check_array, check_float, check_int
+from .errors import ParameterError, check_float, check_int, check_matrix
 
 __all__ = [
     "AddressDecoder",
@@ -106,7 +106,7 @@ def _check_non_negative(name: str, values: FloatVector) -> None:
         raise ParameterError(f"{name} must be finite and non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AddressDecoder:
     """W address codes, fixed at construction: row w of ``firing`` is location w's.
 
@@ -154,7 +154,7 @@ class AddressDecoder:
         return cls(firing, code_params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActivationPattern:
     """Per-location contribution weights of B chains, (B, W); zero below the threshold.
 
@@ -216,7 +216,7 @@ def decode_address(
     return ActivationPattern(sims)
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrelationMatrix:
     """Non-negative (data_dim, W) weight matrix under the max write rule.
 
@@ -246,18 +246,14 @@ def cmm_write(
     the block data support x active locations is read and written: outside
     it the outer product is zero and the non-negative matrix keeps its
     value under the max, so a chain with no active location writes nothing.
-    Data that is not a float matrix, and data or activation weights that
-    are negative or not finite, are a ParameterError: the max would lose
-    them or store NaN; the matrix is then unchanged.
+    Activation weights not W wide and data that is not a (B, M) float
+    matrix, for the matrix's M rows and W locations and the activation's B
+    chains, are a ParameterError (:func:`~spikeseq.errors.check_matrix`),
+    and so are data or activation weights that are negative or not finite:
+    the max would lose them or store NaN. The matrix is then unchanged.
     """
-    data = check_array("data", data)
-    weights = activation.weights
-    if data.ndim != 2 or cmm.w.shape != (data.shape[1], weights.shape[1]) or (
-        data.shape[0] != weights.shape[0]
-    ):
-        raise ParameterError(
-            f"matrix is {cmm.w.shape}, write is {data.shape} data x {weights.shape} weights"
-        )
+    weights = check_matrix("activation weights", activation.weights, cols=cmm.w.shape[1])
+    data = check_matrix("data", data, weights.shape[0], cmm.w.shape[0])
     _check_non_negative("data", data)
     # a NaN, inf or negative weight is non-zero, so it is active: checking
     # every chain's active weights before the first write is enough
@@ -280,12 +276,11 @@ def cmm_read(
     chain's summed activation weight, forced to 0.0 when its readout is
     all-zero: nothing stored where it looked, or no location active, which
     is an empty read. The firing orders of a confidence-0 chain are those
-    of a zero row and carry no information. Params whose M is not the
-    matrix's row count raise ParameterError.
+    of a zero row and carry no information. Activation weights that are
+    not as wide as the matrix's W locations raise ParameterError, and so do
+    params whose M is not the matrix's row count.
     """
-    weights = activation.weights
-    if weights.shape[1] != cmm.w.shape[1]:
-        raise ParameterError(f"matrix is {cmm.w.shape}, activation is {weights.shape}")
+    weights = check_matrix("activation weights", activation.weights, cols=cmm.w.shape[1])
     readout = np.empty((weights.shape[0], cmm.w.shape[0]))
     for b, cols in enumerate(activation.active):
         readout[b] = cmm.w[:, cols] @ weights[b][cols]

@@ -64,7 +64,7 @@ from .codes import (
     to_significance,
 )
 from .context import ContextConfig, ContextState, input_terms, update_context
-from .errors import AlphabetError, ParameterError, check_array, check_int
+from .errors import AlphabetError, ParameterError, check_int, check_matrix
 from .sdm import (
     AddressDecoder,
     CorrelationMatrix,
@@ -100,7 +100,7 @@ _HEADER = struct.Struct("<4sIqqqdqdqqd")
 _CRC = struct.Struct("<I")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """Alphabet of A pairwise-distinct rank-ordered codes: row a of ``firing`` is symbol a's.
 
@@ -181,15 +181,12 @@ def decode_burst(cb: Codebook, bursts: FloatVector) -> tuple[IndexVector, FloatV
     Scores every symbol by cosine similarity to each of the (B, M) bursts;
     returns (symbols, margins), each (B,), where a margin is best minus
     second-best score and ties fall to the lower symbol index. Raises
-    ParameterError on bursts that are not a float matrix and on a burst
-    that is non-finite or whose norm is past the float range, and
+    ParameterError on bursts that are not a (B, M) float matrix
+    (:func:`~spikeseq.errors.check_matrix`) and on a burst that is
+    non-finite or whose norm is past the float range, and
     DegenerateInputError on an all-zero one.
     """
-    bursts = check_array("bursts", bursts)
-    if bursts.ndim != 2 or bursts.shape[1] != cb.encode_matrix.shape[1]:
-        raise ParameterError(
-            f"bursts have shape {bursts.shape}, expected rows of length {cb.encode_matrix.shape[1]}"
-        )
+    bursts = check_matrix("bursts", bursts, cols=cb.encode_matrix.shape[1])
     bnorm = query_norms("burst", bursts)
     scores = np.matvec(cb.encode_matrix, bursts) / (cb._row_norms * bnorm[:, None])
     best = scores.argmax(axis=1)

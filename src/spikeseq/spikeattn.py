@@ -42,7 +42,7 @@ __all__ = [
 _BLOCK_BYTES = 512 * 1024  # bytes of normals per compare_attention block: cache-sized
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionInputs:
     queries: FloatVector  # ([B,] n_q, d)
     keys: FloatVector  # ([B,] n_k, d)
@@ -109,7 +109,7 @@ def _safe_unit_rows(m: FloatVector) -> FloatVector:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WTAResult:
     output: FloatVector  # ([B,] n_q, d_v)
     winners: IndexVector  # ([B,] n_q, n_winners) key indices, best first, -1 past the passers

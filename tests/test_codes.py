@@ -98,6 +98,13 @@ def test_to_significance_small():
     assert to_significance(np.array([[1]]), p1, order="F").flags.f_contiguous
 
 
+@pytest.mark.parametrize("firing", [np.array([[0, 1, 300]]), np.array([[0.0, 1.0, 2.0]])])
+def test_to_significance_rejects_an_index_numpy_cannot_take(firing):
+    # an index past M and a float index: a ParameterError, not numpy's IndexError
+    with pytest.raises(ParameterError, match="firing indices must be integers below 8"):
+        to_significance(firing, CodeParams(8, 3, 0.9))
+
+
 def test_significance_norm_matches_geometric_sum():
     # oracle: direct summation of alpha**(2k)
     p = CodeParams(256, 11, 0.9)
@@ -172,7 +179,7 @@ def test_nofm_rejects_a_vector_of_another_geometry():
     # codes of a geometry nobody asked for, and a single vector is not a block
     p = CodeParams(4, 2, 0.5)
     for v in (np.ones((1, 8)), np.ones((2, 3)), np.arange(4.0), np.ones((1, 1, 4))):
-        with pytest.raises(ParameterError, match="length-4"):
+        with pytest.raises(ParameterError, match=r"expected \(B, 4\)"):
             nofm(v, p)
     assert nofm(np.arange(8.0).reshape(2, 4), p).tolist() == [[3, 2], [3, 2]]
 

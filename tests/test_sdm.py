@@ -172,7 +172,7 @@ def test_read_rejects_params_of_another_geometry():
     act = ActivationPattern(np.full((1, 8), 0.5))
     firing = cmm_read(cmm, act, CodeParams(16, 4, 0.9))[0]
     assert firing.shape == (1, 4) and 0 <= firing.min() and firing.max() < 16
-    with pytest.raises(ParameterError, match="length-8"):
+    with pytest.raises(ParameterError, match=r"expected \(B, 8\)"):
         cmm_read(cmm, act, CodeParams(8, 4, 0.9))
 
 

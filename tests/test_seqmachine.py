@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from spikeseq import seqmachine
 from spikeseq.codes import CodeParams
 from spikeseq.errors import AlphabetError, DegenerateInputError, ParameterError
-from spikeseq.sdm import AddressDecoder, calibrate_threshold
+from spikeseq.context import ContextConfig, ContextState
+from spikeseq.sdm import ActivationPattern, AddressDecoder, CorrelationMatrix, calibrate_threshold
+from spikeseq.spikeattn import AttentionInputs, wta_attention
 from spikeseq.seqmachine import (
     Codebook,
     SequenceMachine,
@@ -700,3 +702,31 @@ def test_a_version_2_snapshot_loads_and_recalls_as_when_it_was_written(tmp_path)
     learn_sequences(fresh, [[0, 1, 2, 3], [3, 2, 1]])
     save_machine(tmp_path / "again.seqm", fresh)
     assert (tmp_path / "again.seqm").read_bytes() == _V2_FILE.read_bytes()
+
+
+def test_values_that_hold_arrays_compare_by_identity():
+    # an array has no == that gives one bool, so these values compare and
+    # hash as plain objects do; equal contents still make two values
+    p = CodeParams(8, 3, 0.9)
+    firing = np.array([[0, 1, 2], [3, 4, 5]])
+    pairs = [
+        (ContextConfig(0.5, p, np.random.default_rng(0)),
+         ContextConfig(0.5, p, np.random.default_rng(0)), "p1"),
+        (AddressDecoder.random(16, p, 1), AddressDecoder.random(16, p, 1), "firing"),
+        (Codebook(p, firing), Codebook(p, firing), "firing"),
+    ]
+    for a, b, array in pairs:
+        assert np.array_equal(getattr(a, array), getattr(b, array))
+        assert a != b and not a == b
+        assert a == a and len({a, b}) == 2
+    inputs = AttentionInputs(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)))
+    for value in (
+        ContextState.start(8, 1),
+        ActivationPattern(np.zeros((1, 4))),
+        CorrelationMatrix.zeros(8, 4),
+        inputs,
+        wta_attention(inputs),
+    ):
+        assert value == value and hash(value) == hash(value)
+    # the parameters keep value equality
+    assert CodeParams(8, 3, 0.9) == p and hash(CodeParams(8, 3, 0.9)) == hash(p)
