@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateInputError, ParameterError, check_float, check_int, check_matrix
+from .errors import (DegenerateInputError, ParameterError, check_float, check_generator,
+                     check_int, check_matrix)
 
 __all__ = [
     "CodeParams",
@@ -154,8 +155,12 @@ def random_firing(n: int, params: CodeParams, rng: np.random.Generator) -> Index
     Permuting each row of an (n, M) tile consumes the generator exactly as
     n calls of ``rng.permutation(M)`` do. Rows are drawn in order, in blocks
     of ``_DRAW_BLOCK`` rows of one reused index tile, so drawing keeps at
-    most one block of M indices next to the (n, N) result.
+    most one block of M indices next to the (n, N) result. ``n`` must be an
+    integer of at least 0 and ``rng`` a ``np.random.Generator``, or
+    ParameterError is raised.
     """
+    check_int("n", n, 0)
+    check_generator(rng)
     firing = np.empty((n, params.n_active), dtype=np.intp)
     indices = np.arange(params.m_total)
     tile = np.empty((min(n, _DRAW_BLOCK), params.m_total), dtype=np.intp)
@@ -200,7 +205,11 @@ def to_significance(firing: IndexVector, params: CodeParams, order: str = "C") -
     The orders are not range-checked (:func:`check_firing` is the check of
     orders from outside): an index of M or more and a float index are a
     ParameterError, and a negative index counts from the end, as numpy's do.
+    A block that is not 2-D and N wide is a ParameterError; it is not
+    converted, so it must be an array.
     """
+    if firing.ndim != 2 or firing.shape[1] != params.n_active:
+        raise ParameterError(f"firing has shape {firing.shape}, expected (B, {params.n_active})")
     rows = np.zeros((firing.shape[0], params.m_total), order=order)
     try:  # costs nothing when nothing is raised
         rows[np.arange(firing.shape[0])[:, None], firing] = params.significances

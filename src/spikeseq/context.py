@@ -18,7 +18,7 @@ block. A code has one form, a block of firing orders: an update selects
 the (B, N) firing orders of the blended drive with
 :func:`~spikeseq.codes.nofm` and keeps their rows
 (:func:`~spikeseq.codes.to_significance`) and their sorted orders as the
-supports. Chains drop out of a block with :meth:`ContextState.take`.
+supports. A block keeps its chains from the first update to the last.
 
 The input term depends only on the input code, so it is computed once per
 code: :func:`input_terms` returns the rows ``(1 - gate) * scale(P2 @ x)``
@@ -54,7 +54,8 @@ from .codes import (
     to_significance,
     vector_norm,
 )
-from .errors import DegenerateInputError, ParameterError, check_float, check_matrix
+from .errors import (DegenerateInputError, ParameterError, check_float, check_generator,
+                     check_matrix)
 
 __all__ = ["ContextConfig", "ContextState", "input_terms", "update_context"]
 
@@ -90,8 +91,7 @@ class ContextConfig:
     def __post_init__(self, rng: np.random.Generator) -> None:
         gate = check_float("lambda_gate", self.lambda_gate, 0.0, 1.0, closed=True)
         object.__setattr__(self, "lambda_gate", gate)
-        if not isinstance(rng, np.random.Generator):
-            raise ParameterError(f"rng must be a numpy Generator, got {rng!r:.60}")
+        check_generator(rng)
         m = self.code_params.m_total
         # P1 is drawn and scaled before P2 is drawn: fewer (M, M) arrays alive at once
         p1, p2 = [np.divide(p, np.linalg.norm(p, axis=0), order="F")
@@ -115,10 +115,6 @@ class ContextState:
     def start(cls, m_total: int, batch: int) -> "ContextState":
         """The empty history of ``batch`` chains: their first update depends only on its input."""
         return cls(np.zeros((batch, m_total)), np.zeros((batch, 0), dtype=np.intp))
-
-    def take(self, chains) -> "ContextState":
-        """The block of the chains selected by an index or boolean array."""
-        return ContextState(self.vector[chains], self.support[chains])
 
 
 def input_terms(vectors: FloatVector, supports: IndexVector, cfg: ContextConfig) -> FloatVector:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the argument checks that raise one.
 
-``check_int`` and ``check_float`` check a number. ``check_array`` converts
+``check_int`` and ``check_float`` check a number, and ``check_generator``
+the generator that a drawing function is given. ``check_array`` converts
 an argument to a float64 array, and ``check_matrix`` is the array boundary
 of every step kernel and of the posenc checks: it converts a float matrix
 argument and checks its 2-D shape, so a kernel states only the sizes it
@@ -63,6 +64,16 @@ def check_float(
         interval = f"[{low}, {high}]" if closed else f"({low}, {high})"
         raise ParameterError(f"{name} must be a finite number in {interval}, got {value!r}")
     return x
+
+
+def check_generator(rng: object) -> None:
+    """Raise ParameterError unless ``rng`` is a ``np.random.Generator``.
+
+    A seed or a legacy ``RandomState`` would draw other values than the
+    generator of the same seed, so neither is accepted.
+    """
+    if not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"rng must be a numpy Generator, got {rng!r:.60}")
 
 
 def check_array(name: str, value: object) -> np.ndarray:

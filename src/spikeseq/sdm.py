@@ -54,7 +54,8 @@ guards and the decoder's cached row norms. The norms are those of
 row-major significance rows, built from the firing block a few hundred
 codes at a time: the column-major address matrix would reduce each row in
 another order and move the last ulp of some of them. Calibration feeds its
-probe contexts through the function in blocks.
+probe contexts through the function in blocks of ``_PROBE_BLOCK``, each
+a context state over its own slice of the probes' rows and supports.
 """
 
 from __future__ import annotations
@@ -178,11 +179,6 @@ class ActivationPattern:
         """Active (chain, location) pairs of the whole block."""
         return sum(a.size for a in self.active)
 
-    @property
-    def counts(self) -> list[int]:
-        """Active locations per chain."""
-        return [a.size for a in self.active]
-
 
 def _address_similarity(context: ContextState, dec: AddressDecoder) -> FloatVector:
     """Cosine of each context with every address: (B, W) values in [0, 1].
@@ -300,10 +296,11 @@ def calibrate_threshold(dec: AddressDecoder, target_active: int, seed: int) -> f
     """
     check_int("target_active", target_active, 1, dec.n_locations + 1)
     firing = random_firing(_N_PROBES, dec.code_params, np.random.default_rng(seed))
-    probes = ContextState(to_significance(firing, dec.code_params), np.sort(firing, axis=1))
+    rows, supports = to_significance(firing, dec.code_params), np.sort(firing, axis=1)
     kth = np.empty(_N_PROBES)
     for i in range(0, _N_PROBES, _PROBE_BLOCK):
-        sims = _address_similarity(probes.take(slice(i, i + _PROBE_BLOCK)), dec)
+        block = slice(i, i + _PROBE_BLOCK)
+        sims = _address_similarity(ContextState(rows[block], supports[block]), dec)
         sims.partition(-target_active, axis=1)
-        kth[i : i + _PROBE_BLOCK] = sims[:, -target_active]
+        kth[block] = sims[:, -target_active]
     return float(np.median(kth))

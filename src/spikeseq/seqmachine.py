@@ -15,12 +15,16 @@ records a reason, "no active memory location" when its read was empty and
 The engine runs chains in lockstep. ``learn_sequences`` and
 ``recall_sequences`` advance a block of B chains, one per sequence or cue,
 by one step per call of each kernel (context update, addressing, write or
-read, decode), each kernel taking the block along a leading axis. A chain
-drops out of the block when its sequence ends (learn) or when it halts
-(recall), and the others go on. ``learn_sequence`` and ``recall_sequence``
-run a block of one. The max write rule is commutative and idempotent and
-recall only reads, so any grouping of chains into blocks gives the same
-memory and the same recalls, bit for bit.
+read, decode), each kernel taking the block along a leading axis. A block
+keeps every chain from its first step to its last: every kernel gives a
+row the bits that the row gets alone, so the chains do not affect one
+another. Learning runs every chain to the longest sequence's end, and past
+its own last symbol a chain's data row is zero, which writes nothing under
+the max rule; recall keeps a halted chain in the block and records none of
+its later steps. ``learn_sequence`` and ``recall_sequence`` run a block of
+one. The max write rule is commutative and idempotent and recall only
+reads, so any grouping of chains into blocks gives the same memory and the
+same recalls, bit for bit.
 
 Every code on the step path is a block of firing orders and carries its
 ascending support: the codebook, a frozen value over its firing block,
@@ -64,7 +68,7 @@ from .codes import (
     to_significance,
 )
 from .context import ContextConfig, ContextState, input_terms, update_context
-from .errors import AlphabetError, ParameterError, check_int, check_matrix
+from .errors import AlphabetError, ParameterError, check_generator, check_int, check_matrix
 from .sdm import (
     AddressDecoder,
     CorrelationMatrix,
@@ -139,7 +143,7 @@ class Codebook:
         Each round draws the codes still missing in one block and keeps the
         first occurrence of each; a round draws no more codes than the loop of
         single draws would, so the codes and the generator's end state are
-        that loop's.
+        that loop's. ``rng`` must be a ``np.random.Generator``.
         """
         check_int("alphabet_size", alphabet_size, 1)
         n_codes = math.perm(code_params.m_total, code_params.n_active)
@@ -273,9 +277,9 @@ class SequenceMachine:
         self.memory = CorrelationMatrix.zeros(m_total, n_locations)
 
 
-def _symbol_block(m: SequenceMachine, seqs: list[list[int]]) -> tuple[IndexVector, list[int]]:
+def _symbol_block(m: SequenceMachine, seqs: list[list[int]]) -> tuple[IndexVector, np.ndarray]:
     """The sequences as the rows of a (B, L) index block, zero-padded to the
-    longest, and the length of each.
+    longest, and the (B, L) mask of the symbols they hold.
 
     ``seqs`` that is not a collection of symbol sequences raises
     ParameterError; symbols are checked as :func:`encode_symbol` checks one.
@@ -287,34 +291,32 @@ def _symbol_block(m: SequenceMachine, seqs: list[list[int]]) -> tuple[IndexVecto
     except TypeError:
         raise ParameterError(f"expected a list of symbol lists, got {seqs!r:.60}") from None
     _check_symbols(flat, m.codebook.alphabet_size)
+    held = np.arange(max(lengths, default=0)) < np.array(lengths)[:, None]
+    block = np.zeros(held.shape, dtype=np.intp)
     # exact: every symbol is an integer in the alphabet
-    values = np.fromiter(flat, dtype=np.intp, count=len(flat))
-    width = max(lengths, default=0)
-    block = np.zeros((len(seqs), width), dtype=np.intp)
-    block[np.arange(width) < np.array(lengths)[:, None]] = values
-    return block, lengths
+    block[held] = np.fromiter(flat, dtype=np.intp, count=len(flat))
+    return block, held
 
 
 def learn_sequences(m: SequenceMachine, seqs: list[list[int]]) -> SequenceMachine:
     """One one-shot pass over each sequence, all in lockstep.
 
     Chain b stores ``seqs[b][t + 1]`` at the context that ``seqs[b][:t + 1]``
-    reaches from the empty history (``ContextState.start``); it drops out
-    when its sequence ends. Sequences may have any lengths: empty or
-    length-1 sequences leave the memory untouched. The memory is the one
-    that learning the sequences one by one leaves, bit for bit.
+    reaches from the empty history (``ContextState.start``). Every chain
+    runs to the longest sequence's end; past its own last symbol a chain's
+    data row is zero, and a zero row writes nothing. Sequences may have any
+    lengths: empty or length-1 sequences leave the memory untouched. The
+    memory is the one that learning the sequences one by one leaves, bit
+    for bit.
     """
-    symbols, lengths = _symbol_block(m, seqs)
-    # longest first, equal lengths in input order, so that the chains still
-    # running form a leading slice
-    rows = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
-    symbols, lengths = symbols[rows], [lengths[r] for r in rows]
-    state = ContextState.start(m.params.m_total, len(rows))
-    for t in range(symbols.shape[1] - 1):
-        k = sum(n > t + 1 for n in lengths)  # the chains with a symbol at t + 1
-        state = update_context(state.take(slice(k)), m.input_table[symbols[:k, t]], m.context_cfg)
-        act = decode_address(state, m.decoder, m.threshold)
-        cmm_write(m.memory, act, m.codebook.encode_matrix[symbols[:k, t + 1]])
+    symbols, held = _symbol_block(m, seqs)
+    # (L - 1, B, M) data rows, step-major so that each step's block is
+    # contiguous, and zero past each chain's last symbol
+    data = m.codebook.encode_matrix[symbols.T[1:]] * held.T[1:, :, None]
+    state = ContextState.start(m.params.m_total, len(symbols))
+    for t, rows in enumerate(data):
+        state = update_context(state, m.input_table[symbols[:, t]], m.context_cfg)
+        cmm_write(m.memory, decode_address(state, m.decoder, m.threshold), rows)
     return m
 
 
@@ -333,41 +335,36 @@ def recall_sequences(
 
     The cues share one length of at least one symbol. Each chain predicts
     up to ``steps`` symbols; a read of confidence 0 (no active location,
-    or nothing stored there) ends its run with a halt reason and drops it
-    from the block. Result b is the one
-    ``recall_sequence(m, cues[b], steps)`` returns, bit for bit.
+    or nothing stored there) ends its run with a halt reason. A halted
+    chain stays in the block, and nothing it reads after the halt is
+    recorded; the run ends when every chain has halted. Result b is the
+    one ``recall_sequence(m, cues[b], steps)`` returns, bit for bit.
     """
     check_int("steps", steps, 0)
-    symbols, lengths = _symbol_block(m, cues)
-    if not lengths:
-        return []
-    if len(set(lengths)) > 1:
+    symbols, held = _symbol_block(m, cues)
+    if not held.all():
         raise ParameterError("recall cues must share one length")
-    if lengths[0] == 0:
+    if not len(symbols):
+        return []
+    if not held.size:
         raise ParameterError("recall needs at least one seed symbol")
-    n = len(lengths)
-    state = ContextState.start(m.params.m_total, n)
+    state = ContextState.start(m.params.m_total, len(symbols))
     for column in symbols.T:
         state = update_context(state, m.input_table[column], m.context_cfg)
-    out: list[list[RecallStep]] = [[] for _ in range(n)]
-    halts: list[str | None] = [None] * n
-    live = list(range(n))  # the chain of each row of the block
+    out: list[list[RecallStep]] = [[] for _ in symbols]
+    halts: list[str | None] = [None] * len(symbols)
     for step in range(steps):
         act = decode_address(state, m.decoder, m.threshold)
-        firing, confidence = cmm_read(m.memory, act, m.params)
-        conf = confidence.tolist()
-        if 0.0 in conf:
-            for b, c, k in zip(live, conf, act.counts):
-                if c == 0.0:
-                    halts[b] = "confidence 0 too low" if k else "no active memory location"
-            keep = confidence != 0.0
-            live, conf = [b for b, c in zip(live, conf) if c], [c for c in conf if c]
-            state, firing = state.take(keep), firing[keep]
-            if not live:
-                break
+        firing, conf = cmm_read(m.memory, act, m.params)
         symbol, margin = decode_burst(m.codebook, to_significance(firing, m.params))
-        for b, s, mg, c in zip(live, symbol.tolist(), margin.tolist(), conf):
-            out[b].append(RecallStep(s, mg, c))
+        for b, (s, mg, c) in enumerate(zip(symbol.tolist(), margin.tolist(), conf.tolist())):
+            if halts[b] is None and c:
+                out[b].append(RecallStep(s, mg, c))
+            elif halts[b] is None:
+                halts[b] = ("confidence 0 too low" if act.active[b].size
+                            else "no active memory location")
+        if all(halts):
+            break
         if step + 1 < steps:
             state = update_context(state, m.input_table[symbol], m.context_cfg)
     return [RecallResult(o, h) for o, h in zip(out, halts)]
@@ -389,8 +386,10 @@ def sample_sequences(
 
     Distinct first symbols keep one-symbol-seed recall well posed: with
     fully i.i.d. draws two stored sequences regularly share a first
-    symbol, which makes their continuations inherently ambiguous.
+    symbol, which makes their continuations inherently ambiguous. ``rng``
+    must be a ``np.random.Generator``.
     """
+    check_generator(rng)
     check_int("n_sequences", n_sequences, 0)
     check_int("length", length, 1)
     check_int("alphabet_size", alphabet_size, 0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,16 @@ def test_to_significance_small():
 def test_to_significance_rejects_an_index_numpy_cannot_take(firing):
     # an index past M and a float index: a ParameterError, not numpy's IndexError
     with pytest.raises(ParameterError, match="firing indices must be integers below 8"):
+        to_significance(firing, CodeParams(8, 3, 0.9))
+
+
+@pytest.mark.parametrize(
+    "firing, shape", [(np.array([[0, 1]]), "(1, 2)"), (np.array([0, 1, 2]), "(3,)")]
+)
+def test_to_significance_rejects_a_block_that_is_not_2d_and_n_wide(firing, shape):
+    # a ParameterError, not numpy's broadcast error or N rows of one 1-D code
+    message = re.escape(f"firing has shape {shape}, expected (B, 3)")
+    with pytest.raises(ParameterError, match=f"^{message}$"):
         to_significance(firing, CodeParams(8, 3, 0.9))
 
 

@@ -1,6 +1,8 @@
-"""The array boundary: every step kernel and the posenc gram convert and
+"""The argument boundary. Every step kernel and the posenc gram convert and
 shape-check their float arguments through ``errors.check_matrix``, whose
-ParameterError names the argument, its shape and the expected shape.
+ParameterError names the argument, its shape and the expected shape; every
+function that draws from a generator checks it with
+``errors.check_generator``.
 """
 
 import re
@@ -13,7 +15,7 @@ from spikeseq.context import ContextConfig, ContextState, input_terms, update_co
 from spikeseq.errors import ParameterError, check_matrix
 from spikeseq.posenc import gram_matrix
 from spikeseq.sdm import ActivationPattern, CorrelationMatrix, cmm_read, cmm_write
-from spikeseq.seqmachine import Codebook, decode_burst
+from spikeseq.seqmachine import Codebook, decode_burst, sample_sequences
 
 P = CodeParams(8, 3, 0.9)
 
@@ -96,3 +98,28 @@ def test_check_matrix_converts_and_checks_only_the_sizes_it_is_given():
             check_matrix("x", value)
     with pytest.raises(ParameterError, match="x must be a float matrix"):
         check_matrix("x", [[1, 2], [3]])
+
+
+_FOREIGN = "rng must be a numpy Generator"
+_DRAW_CASES = {
+    "sample_sequences-int": (lambda: sample_sequences(0, 2, 3, 26), _FOREIGN),
+    "sample_sequences-RandomState": (
+        lambda: sample_sequences(np.random.RandomState(0), 2, 3, 26), _FOREIGN
+    ),
+    "random_firing-int": (lambda: random_firing(3, P, 5), _FOREIGN),
+    "Codebook.random-None": (lambda: Codebook.random(3, P, None), _FOREIGN),
+    "random_firing-negative": (
+        lambda: random_firing(-1, P, np.random.default_rng(0)), "n must be at least 0"
+    ),
+    "random_firing-float": (
+        lambda: random_firing(2.5, P, np.random.default_rng(0)), "n must be an integer"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_DRAW_CASES))
+def test_a_drawing_function_rejects_a_foreign_generator_or_count(case):
+    # a ParameterError, not numpy's AttributeError, ValueError or TypeError
+    call, message = _DRAW_CASES[case]
+    with pytest.raises(ParameterError, match=message):
+        call()

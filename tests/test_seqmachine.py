@@ -510,6 +510,20 @@ def test_machine_holds_its_threshold_seed_and_target_active():
     assert not hasattr(m.decoder, "threshold")
 
 
+# the thresholds of the two benchmark geometries, bit for bit: how calibration
+# splits its probes into blocks must not move them
+_THRESHOLDS = {
+    512: ["0x1.847671c9cd20ap-3"] * 3,
+    4096: ["0x1.217ff72c5b837p-2", "0x1.239c0a00f158bp-2", "0x1.230fd1ddc3a3cp-2"],
+}
+
+
+@pytest.mark.parametrize("n_locations, seed", [(w, s) for w in _THRESHOLDS for s in range(3)])
+def test_calibrated_threshold_is_pinned_at_the_benchmark_geometries(n_locations, seed):
+    m = SequenceMachine(n_locations=n_locations, seed=seed)
+    assert m.threshold.hex() == _THRESHOLDS[n_locations][seed]
+
+
 def _random_projection(m, rng):
     """The projection draw that callers made before configs drew their own."""
     p = rng.normal(size=(m, m))

@@ -62,6 +62,8 @@ def test_compare_handles_a_parent_median_of_zero():
     assert verdict == "ok" and "worse +0.000" in line
     verdict, line = _verdict("lower", [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     assert verdict == "regressed" and "worse +inf" in line
+    verdict, line = _verdict("higher", [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    assert verdict == "ok" and "worse -inf" in line
 
 
 def test_iqr():

@@ -57,8 +57,12 @@ def compare(name: str, better: str, bound: float, parent: list[float], change: l
     """One report line for a metric: medians, parent IQR, wins and the verdict."""
     sign = 1.0 if better == "higher" else -1.0  # sign * value grows as the metric improves
     mp, mc = statistics.median(parent), statistics.median(change)
-    # how much worse the change's median is, as a fraction of the parent's
-    worse = sign * (mp - mc) / abs(mp) if mp else (0.0 if mc == mp else math.inf)
+    # how much worse the change's median is, as a fraction of the parent's;
+    # from a parent median of 0: +inf when worse, -inf when better, 0 when equal
+    if mp:
+        worse = sign * (mp - mc) / abs(mp)
+    else:
+        worse = math.copysign(math.inf, sign * (mp - mc)) if mc != mp else 0.0
     spread = max(iqr(parent), iqr(change)) / abs(mp) if mp else 0.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     all_better = min(sign * c for c in change) > max(sign * p for p in parent)
