@@ -6,17 +6,17 @@ geometrically decreasing weights ``alpha**k`` to the k-th firing neuron,
 so cosine similarity between codes privileges agreement at early ranks.
 
 Codes come in blocks of B along a leading axis, and a single code is a
-block of one: a (B, N) integer array of firing orders is the code itself,
-its (B, M) float64 significance rows are its dense form, and
-``np.sort(firing, axis=1)`` gives the (B, N) ascending supports.
+block of one. A code has one form, a (B, N) integer array of firing
+orders; its (B, M) float64 significance rows are its dense form, and
+``np.sort(firing, axis=1)`` gives the (B, N) ascending supports. The three
+containers of codes (the codebook, the address decoder and the context
+state) are frozen values over a firing block that derive these once.
 ``random_firing`` draws firing orders, ``check_firing`` checks a block of
 them that comes from outside (the codebook's and the address decoder's),
 ``to_significance`` turns them into rows, ``nofm`` selects the top N of
-every row of a (B, M) block, ``vector_norm`` takes the norm along the
-last axis, and ``support_matvec`` multiplies a matrix by every row over
-the support it is given, so that it gathers the N columns of each support
-and never searches a row for it. Each of them gives every row the bits
-that the same function gives a block of that one row.
+every row of a (B, M) block and ``vector_norm`` takes the norm along the
+last axis. Each of them gives every row the bits that the same function
+gives a block of that one row.
 
 ``nofm(v, params)`` selects codes of the geometry it is given: N is
 ``params.n_active``, and rows whose length is not ``params.m_total`` are a
@@ -25,14 +25,12 @@ ParameterError, never codes of another geometry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (DegenerateInputError, ParameterError, check_float, check_generator,
-                     check_int, check_matrix)
+from .errors import ParameterError, check_float, check_generator, check_int, check_matrix
 
 __all__ = [
     "CodeParams",
@@ -40,15 +38,13 @@ __all__ = [
     "check_firing",
     "to_significance",
     "vector_norm",
-    "query_norms",
-    "support_matvec",
     "nofm",
 ]
 
 FloatVector = NDArray[np.float64]
 IndexVector = NDArray[np.intp]
 
-_GATHER_BYTES = 1 << 18  # gathered matrix columns per support_matvec product
+_GATHER_BYTES = 1 << 18  # gathered matrix columns per _support_matvec product
 _DRAW_BLOCK = 128  # rows permuted at once by random_firing
 
 
@@ -91,35 +87,16 @@ def vector_norm(v: FloatVector) -> FloatVector:
     return np.sqrt(np.vecdot(v, v))
 
 
-def query_norms(name: str, queries: FloatVector) -> FloatVector:
-    """The norms of the rows of ``queries``, each finite and non-zero.
-
-    Raises ParameterError, whose message holds "non-finite", on a row that
-    is not finite or whose norm is past the float range (no overflow
-    warning), and DegenerateInputError on an all-zero row.
-    """
-    with np.errstate(over="ignore"):  # a norm past the float range is inf
-        norms = vector_norm(queries)
-    for x in norms.tolist():  # a few floats: cheaper in Python than two reductions
-        if not x < math.inf:
-            raise ParameterError(f"{name} is non-finite or too large")
-        if x == 0.0:
-            raise DegenerateInputError(f"{name} is all-zero")
-    return norms
-
-
-def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) -> FloatVector:
+def _support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) -> FloatVector:
     """``matrix @ v[b]`` for every row b of v over its support, (B, R).
 
-    Row b is ``matrix[:, support[b]] @ v[b, support[b]]``: ``support[b]``
-    holds, in ascending order, every index where ``v[b]`` is non-zero (it
-    may hold zeros of ``v[b]`` as well); the caller carries it with the
-    code, so it is not searched for here. A width-0 support gives zero
-    rows. Equal to the dense product up to summation order (the last ulp).
-    Raises ParameterError when v is not a float matrix as wide as the
-    matrix (:func:`~spikeseq.errors.check_matrix`), when the supports are
-    not a 2-D block of one row per row of v, and when v is non-finite on a
-    support.
+    Row b is ``matrix[:, support[b]] @ v[b, support[b]]``: ``v`` and
+    ``support`` are the significance rows and the ascending supports of a
+    block of codes, as a :class:`~spikeseq.context.ContextState` derives
+    them, so they agree, are finite and are N wide. Only their geometry is
+    checked, because contexts and a matrix of two geometries can meet: M
+    must be the matrix's column count, or ParameterError is raised. Equal
+    to the dense product up to summation order (the last ulp).
 
     The block gathers each support's rows of ``matrix.T``, which are
     contiguous when the matrix is column-major, and multiplies them with
@@ -129,19 +106,14 @@ def support_matvec(matrix: FloatVector, v: FloatVector, support: IndexVector) ->
     columns stay near 256 KiB, which keeps them in cache and the memory
     peak low; a block of one row takes the 2-D product, which costs less.
     """
-    v, support = check_matrix("v", v, cols=matrix.shape[1]), np.asarray(support)
-    if support.ndim != 2 or support.shape[0] != v.shape[0]:
-        raise ParameterError(f"support has shape {support.shape}, expected ({v.shape[0]}, K)")
+    if v.shape[1] != matrix.shape[1]:
+        raise ParameterError(f"codes of M={v.shape[1]} meet a matrix of {matrix.shape[1]} columns")
     batch = v.shape[0]
-    values = v[0][support[0]] if batch == 1 else v[np.arange(batch)[:, None], support]
-    # one row's few floats are cheaper to check in Python than with a reduction
-    finite = all(map(math.isfinite, values.tolist())) if batch == 1 else np.isfinite(values).all()
-    if not finite:
-        raise ParameterError("v is non-finite on its support")
     if batch == 1:
-        return (matrix[:, support[0]] @ values)[None]
+        return (matrix[:, support[0]] @ v[0][support[0]])[None]
+    values = v[np.arange(batch)[:, None], support]
     # rows per vecmat call, so that the gathered columns stay cache-sized
-    step = max(1, _GATHER_BYTES // (8 * matrix.shape[0] * max(support.shape[1], 1)))
+    step = max(1, _GATHER_BYTES // (8 * matrix.shape[0] * support.shape[1]))
     out = np.empty((batch, matrix.shape[0]))
     for lo in range(0, batch, step):
         hi = lo + step
@@ -205,11 +177,12 @@ def to_significance(firing: IndexVector, params: CodeParams, order: str = "C") -
     The orders are not range-checked (:func:`check_firing` is the check of
     orders from outside): an index of M or more and a float index are a
     ParameterError, and a negative index counts from the end, as numpy's do.
-    A block that is not 2-D and N wide is a ParameterError; it is not
-    converted, so it must be an array.
+    Anything but a 2-D, N wide array is a ParameterError; it is not
+    converted, so a list is one too.
     """
-    if firing.ndim != 2 or firing.shape[1] != params.n_active:
-        raise ParameterError(f"firing has shape {firing.shape}, expected (B, {params.n_active})")
+    if not isinstance(firing, np.ndarray) or firing.ndim != 2 or firing.shape[1] != params.n_active:
+        shape = np.array(firing, dtype=object).shape  # a ragged list has one as objects
+        raise ParameterError(f"firing has shape {shape}, expected (B, {params.n_active})")
     rows = np.zeros((firing.shape[0], params.m_total), order=order)
     try:  # costs nothing when nothing is raised
         rows[np.arange(firing.shape[0])[:, None], firing] = params.significances

@@ -11,27 +11,30 @@ selection the canonical geometric weights are reassigned by descending
 blended magnitude, so the state stays in the code space the address
 decoder consumes.
 
-Contexts run in blocks of B chains along a leading axis: a
-:class:`ContextState` holds (B, M) significance rows and their (B, K)
-ascending supports, and one ``update_context`` advances every chain of the
-block. A code has one form, a block of firing orders: an update selects
-the (B, N) firing orders of the blended drive with
-:func:`~spikeseq.codes.nofm` and keeps their rows
-(:func:`~spikeseq.codes.to_significance`) and their sorted orders as the
-supports. A block keeps its chains from the first update to the last.
+Contexts run in blocks of B chains along a leading axis. A code has one
+form, a block of firing orders, and a :class:`ContextState` is a frozen
+value over the (B, N) firing block of B contexts, as the codebook and the
+address decoder are over theirs: it derives, once, the (B, M) significance
+rows (:func:`~spikeseq.codes.to_significance`) and the (B, N) ascending
+supports. Both come from the firing block, so they always agree, and every
+context is finite, non-negative and of norm at least 1; addressing and the
+history product need no guard against a context that is none of these. An
+update selects the firing orders of the blended drive with
+:func:`~spikeseq.codes.nofm` and returns the state over them. The empty
+history is no state: the first update of a run is given ``None`` and
+depends only on its input. A block keeps its chains from the first update
+to the last.
 
 The input term depends only on the input code, so it is computed once per
 code: :func:`input_terms` returns the rows ``(1 - gate) * scale(P2 @ x)``
-of a codebook, and an update adds the row of each chain's input to its
-history term. The arithmetic is the same as computing the term at every
-step, so the states are bit-identical.
+of a codebook's firing block, and an update adds the row of each chain's
+input to its history term. The arithmetic is the same as computing the
+term at every step, so the states are bit-identical.
 
 The projections are drawn, not supplied: a :class:`ContextConfig` draws
 P1 and P2 from the generator it is built with and keeps them column-major
-and read-only. The history and the input are N-of-M codes that carry
-their ascending support, so each product gathers only the N projection
-columns of that support (:func:`~spikeseq.codes.support_matvec`); the
-empty start history has a width-0 support and a zero history term.
+and read-only. The history and the input are codes, so each product
+gathers only the N projection columns of their supports.
 
 State is a value: :class:`ContextState` is immutable, ``update_context``
 returns a new one, and callers keep it in a local variable, so any number
@@ -48,9 +51,10 @@ from .codes import (
     CodeParams,
     FloatVector,
     IndexVector,
+    _support_matvec,
+    check_firing,
     freeze_arrays,
     nofm,
-    support_matvec,
     to_significance,
     vector_norm,
 )
@@ -101,57 +105,68 @@ class ContextConfig:
 
 @dataclass(frozen=True, eq=False)
 class ContextState:
-    """Contexts of B chains: (B, M) significance rows and their ascending supports.
+    """Contexts of B chains, a frozen value over their (B, N) firing orders.
 
-    ``support[b]`` holds every index where ``vector[b]`` is non-zero,
-    ascending; all chains of a block have supports of one width K. The
-    start state is all-zero with width-0 supports.
+    ``firing[b]`` is chain b's code. The state derives, once, the (B, M)
+    significance rows ``vector`` and the (B, N) ascending supports
+    ``support``, ``support[b]`` being ``firing[b]`` sorted. Unlike the
+    codebook's and the decoder's, its arrays are not made read-only: that
+    would cost every step about 1.5 us, a fifth of building the state.
+    Raises ParameterError when the firing orders are not a 2-D, N wide
+    integer array with indices below M
+    (:func:`~spikeseq.codes.to_significance`) and when an index repeats
+    within a code: a row then has fewer non-zeros than the significances
+    of ``code_params``. A negative index counts from the end, as numpy's
+    do.
     """
 
-    vector: FloatVector
-    support: IndexVector
+    firing: IndexVector
+    code_params: CodeParams
+    vector: FloatVector = field(init=False, repr=False)  # (B, M) significance rows
+    support: IndexVector = field(init=False, repr=False)  # (B, N) ascending, per chain
 
-    @classmethod
-    def start(cls, m_total: int, batch: int) -> "ContextState":
-        """The empty history of ``batch`` chains: their first update depends only on its input."""
-        return cls(np.zeros((batch, m_total)), np.zeros((batch, 0), dtype=np.intp))
+    def __post_init__(self) -> None:
+        p = self.code_params
+        vector = to_significance(self.firing, p)
+        # significances that underflow to 0 leave no non-zero, repeated or not
+        if np.count_nonzero(vector) != len(vector) * np.count_nonzero(p.significances):
+            raise ParameterError("the indices of a code must be distinct")
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "support", np.sort(self.firing, axis=1))
 
 
-def input_terms(vectors: FloatVector, supports: IndexVector, cfg: ContextConfig) -> FloatVector:
-    """Input terms ``(1 - gate) * scale(P2 @ x)`` of the rows x of vectors, (A, M).
+def input_terms(firing: IndexVector, cfg: ContextConfig) -> FloatVector:
+    """Input terms ``(1 - gate) * scale(P2 @ x)`` of the codes x of an (A, N) firing block, (A, M).
 
-    ``supports`` holds the ascending support of each row. Raises
-    ParameterError when the vectors are not an (A, M) float matrix
-    (:func:`~spikeseq.errors.check_matrix`), are not finite on their
-    supports, or a row's product with P2 has a norm past the float range.
+    The block is checked as :func:`~spikeseq.codes.check_firing` checks a
+    codebook's. A code's product with the unit-column P2 is finite, so the
+    terms are.
     """
-    vectors = check_matrix("vectors", vectors, cols=cfg.code_params.m_total)
-    with np.errstate(over="ignore", invalid="ignore"):
-        drive = support_matvec(cfg.p2, vectors, supports)
-        finite = np.isfinite(vector_norm(drive)).all()
-    if not finite:
-        raise ParameterError("an input's product with p2 has a norm past the float range")
-    return (1.0 - cfg.lambda_gate) * _scale(drive)
+    codes = ContextState(check_firing(firing, cfg.code_params), cfg.code_params)
+    return (1.0 - cfg.lambda_gate) * _scale(_support_matvec(cfg.p2, codes.vector, codes.support))
 
 
-def update_context(prev: ContextState, terms: FloatVector, cfg: ContextConfig) -> ContextState:
+def update_context(
+    prev: ContextState | None, terms: FloatVector, cfg: ContextConfig
+) -> ContextState:
     """One gated update of every chain; returns canonical N-of-M context states.
 
+    ``prev`` is the contexts of the chains, or None for the empty history
+    of a run's first update, which then depends only on its input.
     ``terms[b]`` is the input term of chain b's input (a row of
     :func:`input_terms`). Raises DegenerateInputError when the blended
-    drive of a chain is identically zero: at gate 1 from the empty start
+    drive of a chain is identically zero: at gate 1 from the empty
     history, whose input terms are all zero, or at gate 0 (or from the
-    empty start history) on an all-zero row of terms. Raises
-    ParameterError when the terms do not have the (B, M) shape of the
-    contexts' vectors (the message names them "input terms") and when the
-    drive is non-finite.
+    empty history) on an all-zero row of terms. Raises ParameterError on
+    contexts whose M is not the config's, when the terms are not an M wide
+    float matrix with a row per chain of ``prev`` (the message names them
+    "input terms") and when the drive is non-finite.
     """
-    terms = check_matrix("input terms", terms, *prev.vector.shape)
-    lam = cfg.lambda_gate
+    # the empty history takes a block of any number of chains
+    terms = check_matrix("input terms", terms, prev and len(prev.firing), cfg.code_params.m_total)
     blend = terms
-    if lam > 0.0 and prev.support.shape[1]:
-        blend = lam * _scale(support_matvec(cfg.p1, prev.vector, prev.support)) + terms
+    if cfg.lambda_gate > 0.0 and prev is not None:
+        blend = cfg.lambda_gate * _scale(_support_matvec(cfg.p1, prev.vector, prev.support)) + terms
     if not all(blend.any(axis=1).tolist()):
         raise DegenerateInputError("blended context drive is identically zero")
-    firing = nofm(blend, cfg.code_params)
-    return ContextState(to_significance(firing, cfg.code_params), np.sort(firing, axis=1))
+    return ContextState(nofm(blend, cfg.code_params), cfg.code_params)

@@ -9,9 +9,9 @@ pattern, which makes writes idempotent and order-independent.
 
 Every address is an N-of-M code. An :class:`AddressDecoder` is a frozen
 value over the (W, N) block of their firing orders, as the codebook is
-over the block of its symbols' codes: at construction it checks the block
-(:func:`~spikeseq.codes.check_firing`) and derives, once, the addresses'
-significance rows and their row norms.
+over its symbols' codes and a context state over its chains': at
+construction it checks the block (:func:`~spikeseq.codes.check_firing`)
+and derives, once, the addresses' significance rows and their row norms.
 
 Similarity and selection are kept apart. The threshold, Kanerva's
 activation radius, is the selection rule: :func:`calibrate_threshold`
@@ -31,11 +31,10 @@ pattern the active locations of each chain, found once when the pattern is
 made.
 The address matrix (W, M) and the correlation matrix (M, W) are stored
 column-major, so that addressing gathers the N address columns of each
-context's support (:func:`~spikeseq.codes.support_matvec`). A write is a
-scatter-max over data support x active locations, chain by chain; its
-products are the single multiplies of the dense outer product, so the
-matrix is bit-identical to a dense write, and the max rule makes chains
-that hit one cell in the same step commute.
+context's support. A write is a scatter-max over data support x active
+locations, chain by chain; its products are the single multiplies of the
+dense outer product, so the matrix is bit-identical to a dense write, and
+the max rule makes chains that hit one cell in the same step commute.
 
 A read is a product per chain over that chain's active locations. Chains
 have different numbers of active locations, and padding them to one count
@@ -49,13 +48,15 @@ Threshold invariant: the calibrated threshold is one of the discrete
 cosine levels that addressing computes (or the midpoint of two, when the
 median of an even probe count falls between them), so ``sims >= threshold``
 decides exact float ties. Addressing and calibration therefore share one
-similarity function, ``_address_similarity``: one kernel, one set of float
-guards and the decoder's cached row norms. The norms are those of
+similarity function, ``_address_similarity``: one kernel, one snap of
+rounded cosines to 1 and the decoder's cached row norms. A context and an
+address are both codes, finite and non-negative with norms of at least 1,
+so their cosine needs no other guard. The norms are those of
 row-major significance rows, built from the firing block a few hundred
 codes at a time: the column-major address matrix would reduce each row in
 another order and move the last ulp of some of them. Calibration feeds its
-probe contexts through the function in blocks of ``_PROBE_BLOCK``, each
-a context state over its own slice of the probes' rows and supports.
+probe codes through the function in blocks of ``_PROBE_BLOCK``, each a
+context state over its own slice of the probes' firing orders.
 """
 
 from __future__ import annotations
@@ -68,13 +69,13 @@ from .codes import (
     CodeParams,
     FloatVector,
     IndexVector,
+    _support_matvec,
     check_firing,
     freeze_arrays,
     nofm,
-    query_norms,
     random_firing,
-    support_matvec,
     to_significance,
+    vector_norm,
 )
 from .context import ContextState
 from .errors import ParameterError, check_float, check_int, check_matrix
@@ -183,16 +184,12 @@ class ActivationPattern:
 def _address_similarity(context: ContextState, dec: AddressDecoder) -> FloatVector:
     """Cosine of each context with every address: (B, W) values in [0, 1].
 
-    Raises ParameterError on a non-finite context and DegenerateInputError
-    on an all-zero one (:func:`~spikeseq.codes.query_norms`).
+    Both are codes, so the norms are at least 1 and the products are
+    finite and non-negative.
     """
-    cnorm = query_norms("context vector", context.vector)
-    sims = support_matvec(dec.addresses, context.vector, context.support)
-    sims /= dec._row_norms * cnorm[:, None]
-    # float guards: cosine of non-negative codes lies in [0, 1], and a context
-    # identical to a stored address must compare exactly equal to 1 (the
-    # second line also clips the top of the range)
-    np.maximum(sims, 0.0, out=sims)
+    sims = _support_matvec(dec.addresses, context.vector, context.support)
+    sims /= dec._row_norms * vector_norm(context.vector)[:, None]
+    # a context identical to a stored address must compare exactly equal to 1
     sims[sims >= 1.0 - 1e-12] = 1.0
     return sims
 
@@ -203,8 +200,8 @@ def decode_address(
     """Similarity of each context to every address, gated by the threshold.
 
     Locations whose similarity reaches ``threshold``, a number in [0, 1],
-    are active. Raises ParameterError on another threshold and on a
-    non-finite context, and DegenerateInputError on an all-zero one.
+    are active. Raises ParameterError on another threshold and on contexts
+    whose M is not the decoder's.
     """
     threshold = check_float("threshold", threshold, 0.0, 1.0, closed=True)
     sims = _address_similarity(context, dec)
@@ -277,6 +274,8 @@ def cmm_read(
     params whose M is not the matrix's row count.
     """
     weights = check_matrix("activation weights", activation.weights, cols=cmm.w.shape[1])
+    if params.m_total != cmm.w.shape[0]:
+        raise ParameterError(f"params have M={params.m_total}, the matrix {cmm.w.shape[0]} rows")
     readout = np.empty((weights.shape[0], cmm.w.shape[0]))
     for b, cols in enumerate(activation.active):
         readout[b] = cmm.w[:, cols] @ weights[b][cols]
@@ -296,11 +295,10 @@ def calibrate_threshold(dec: AddressDecoder, target_active: int, seed: int) -> f
     """
     check_int("target_active", target_active, 1, dec.n_locations + 1)
     firing = random_firing(_N_PROBES, dec.code_params, np.random.default_rng(seed))
-    rows, supports = to_significance(firing, dec.code_params), np.sort(firing, axis=1)
     kth = np.empty(_N_PROBES)
     for i in range(0, _N_PROBES, _PROBE_BLOCK):
         block = slice(i, i + _PROBE_BLOCK)
-        sims = _address_similarity(ContextState(rows[block], supports[block]), dec)
+        sims = _address_similarity(ContextState(firing[block], dec.code_params), dec)
         sims.partition(-target_active, axis=1)
         kth[block] = sims[:, -target_active]
     return float(np.median(kth))

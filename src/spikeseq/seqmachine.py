@@ -26,16 +26,18 @@ one. The max write rule is commutative and idempotent and recall only
 reads, so any grouping of chains into blocks gives the same memory and the
 same recalls, bit for bit.
 
-Every code on the step path is a block of firing orders and carries its
-ascending support: the codebook, a frozen value over its firing block,
-caches each codeword's significance row and support, the context state
-holds the ones its update produced, a read returns firing orders that
-decoding turns into rows, and an activation pattern holds the locations
-it found active. The machine builds the input term of every codeword
-once, at construction (:func:`~spikeseq.context.input_terms`), and an
-update adds the row of each chain's symbol. The context state is a value
-that the learn and recall functions keep in a local variable; a machine
-holds its configuration and its memory, no state of a run.
+Every code on the step path is a block of firing orders, and each
+container of codes is a frozen value over its block that derives the rest
+once: the codebook caches each codeword's significance row, a context
+state holds the rows and ascending supports of the codes its update
+selected, a read returns firing orders that decoding turns into rows, and
+an activation pattern holds the locations it found active. The machine
+builds the input term of every codeword once, at construction, from the
+codebook's firing block (:func:`~spikeseq.context.input_terms`), and an
+update adds the row of each chain's symbol. A run starts from the empty
+history, ``None``, and its context state is a value that the learn and
+recall functions keep in a local variable; a machine holds its
+configuration and its memory, no state of a run.
 
 Everything but the memory is fixed at construction: the codebook, the
 context configuration, the input table, the frozen address decoder and the
@@ -63,12 +65,13 @@ from .codes import (
     IndexVector,
     check_firing,
     freeze_arrays,
-    query_norms,
     random_firing,
     to_significance,
+    vector_norm,
 )
-from .context import ContextConfig, ContextState, input_terms, update_context
-from .errors import AlphabetError, ParameterError, check_generator, check_int, check_matrix
+from .context import ContextConfig, input_terms, update_context
+from .errors import (AlphabetError, DegenerateInputError, ParameterError, check_generator,
+                     check_int, check_matrix)
 from .sdm import (
     AddressDecoder,
     CorrelationMatrix,
@@ -117,17 +120,15 @@ class Codebook:
     code_params: CodeParams
     firing: IndexVector  # (A, N) firing orders, one code per symbol
     encode_matrix: FloatVector = field(init=False)  # (A, M) significance rows
-    supports: IndexVector = field(init=False, repr=False)  # (A, N) ascending, per code
     _row_norms: FloatVector = field(init=False, repr=False)  # (A,) norms of encode_matrix
 
     def __post_init__(self) -> None:
         p = self.code_params
         firing = check_firing(self.firing, p)
-        supports = np.sort(firing, axis=1)
         if len(set(map(tuple, firing.tolist()))) != len(firing):
             raise ParameterError("codebook codes must be pairwise distinct")
         encode = to_significance(firing, p)
-        freeze_arrays(self, firing=firing, encode_matrix=encode, supports=supports,
+        freeze_arrays(self, firing=firing, encode_matrix=encode,
                       _row_norms=np.linalg.norm(encode, axis=1))
 
     @property
@@ -184,14 +185,21 @@ def decode_burst(cb: Codebook, bursts: FloatVector) -> tuple[IndexVector, FloatV
 
     Scores every symbol by cosine similarity to each of the (B, M) bursts;
     returns (symbols, margins), each (B,), where a margin is best minus
-    second-best score and ties fall to the lower symbol index. Raises
+    second-best score and ties fall to the lower symbol index. A burst is
+    any float row, not only a code, so its norm is checked here: raises
     ParameterError on bursts that are not a (B, M) float matrix
     (:func:`~spikeseq.errors.check_matrix`) and on a burst that is
-    non-finite or whose norm is past the float range, and
-    DegenerateInputError on an all-zero one.
+    non-finite or whose norm is past the float range (with no overflow
+    warning), and DegenerateInputError on an all-zero one.
     """
     bursts = check_matrix("bursts", bursts, cols=cb.encode_matrix.shape[1])
-    bnorm = query_norms("burst", bursts)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        bnorm = vector_norm(bursts)
+    for x in bnorm.tolist():  # a few floats: cheaper in Python than two reductions
+        if not x < math.inf:
+            raise ParameterError("burst is non-finite or too large")
+        if x == 0.0:
+            raise DegenerateInputError("burst is all-zero")
     scores = np.matvec(cb.encode_matrix, bursts) / (cb._row_norms * bnorm[:, None])
     best = scores.argmax(axis=1)
     a = cb.alphabet_size
@@ -269,8 +277,7 @@ class SequenceMachine:
             alphabet_size, self.params, np.random.default_rng(ss[0])
         )
         self.context_cfg = ContextConfig(lambda_gate, self.params, np.random.default_rng(ss[1]))
-        table = input_terms(self.codebook.encode_matrix, self.codebook.supports, self.context_cfg)
-        freeze_arrays(self, input_table=table)
+        freeze_arrays(self, input_table=input_terms(self.codebook.firing, self.context_cfg))
         self.threshold = calibrate_threshold(
             self.decoder, target_active, seed=int(ss[2].generate_state(1)[0])
         )
@@ -302,10 +309,10 @@ def learn_sequences(m: SequenceMachine, seqs: list[list[int]]) -> SequenceMachin
     """One one-shot pass over each sequence, all in lockstep.
 
     Chain b stores ``seqs[b][t + 1]`` at the context that ``seqs[b][:t + 1]``
-    reaches from the empty history (``ContextState.start``). Every chain
-    runs to the longest sequence's end; past its own last symbol a chain's
-    data row is zero, and a zero row writes nothing. Sequences may have any
-    lengths: empty or length-1 sequences leave the memory untouched. The
+    reaches from the empty history, ``None``. Every chain runs to the
+    longest sequence's end; past its own last symbol a chain's data row is
+    zero, and a zero row writes nothing. Sequences may have any lengths:
+    empty or length-1 sequences leave the memory untouched. The
     memory is the one that learning the sequences one by one leaves, bit
     for bit.
     """
@@ -313,7 +320,7 @@ def learn_sequences(m: SequenceMachine, seqs: list[list[int]]) -> SequenceMachin
     # (L - 1, B, M) data rows, step-major so that each step's block is
     # contiguous, and zero past each chain's last symbol
     data = m.codebook.encode_matrix[symbols.T[1:]] * held.T[1:, :, None]
-    state = ContextState.start(m.params.m_total, len(symbols))
+    state = None
     for t, rows in enumerate(data):
         state = update_context(state, m.input_table[symbols[:, t]], m.context_cfg)
         cmm_write(m.memory, decode_address(state, m.decoder, m.threshold), rows)
@@ -348,7 +355,7 @@ def recall_sequences(
         return []
     if not held.size:
         raise ParameterError("recall needs at least one seed symbol")
-    state = ContextState.start(m.params.m_total, len(symbols))
+    state = None
     for column in symbols.T:
         state = update_context(state, m.input_table[column], m.context_cfg)
     out: list[list[RecallStep]] = [[] for _ in symbols]

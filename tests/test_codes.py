@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 from spikeseq.codes import (
     CodeParams,
     nofm,
+    _support_matvec,
     random_firing,
-    support_matvec,
     to_significance,
     vector_norm,
 )
@@ -107,10 +107,12 @@ def test_to_significance_rejects_an_index_numpy_cannot_take(firing):
 
 
 @pytest.mark.parametrize(
-    "firing, shape", [(np.array([[0, 1]]), "(1, 2)"), (np.array([0, 1, 2]), "(3,)")]
+    "firing, shape",
+    [(np.array([[0, 1]]), "(1, 2)"), (np.array([0, 1, 2]), "(3,)"), ([[0, 1, 2]], "(1, 3)")],
 )
 def test_to_significance_rejects_a_block_that_is_not_2d_and_n_wide(firing, shape):
-    # a ParameterError, not numpy's broadcast error or N rows of one 1-D code
+    # a ParameterError, not numpy's broadcast error, N rows of one 1-D code or
+    # a list's AttributeError
     message = re.escape(f"firing has shape {shape}, expected (B, 3)")
     with pytest.raises(ParameterError, match=f"^{message}$"):
         to_significance(firing, CodeParams(8, 3, 0.9))
@@ -256,19 +258,11 @@ def test_support_matvec_matches_dense_product(shape, fortran, data):
         matrix = np.asfortranarray(matrix)
     # mostly zeros, like an N-of-M code
     v = data.draw(arrays(np.float64, shape[1], elements=st.one_of(st.just(0.0), _entries)))
-    got = support_matvec(matrix, v[None], np.flatnonzero(v)[None])[0]
+    got = _support_matvec(matrix, v[None], np.flatnonzero(v)[None])[0]
     # the two sums differ only in order: bound the error by the absolute sum,
     # plus the smallest normal float for products that underflow
     bound = 1e-12 * (np.abs(matrix) @ np.abs(v)) + np.finfo(np.float64).tiny
     assert np.all(np.abs(got - matrix @ v) <= bound)
-
-
-def test_support_matvec_zero_vector_and_shape_check():
-    matrix = np.arange(6.0).reshape(2, 3)
-    empty = np.zeros(0, dtype=np.intp)
-    assert np.array_equal(support_matvec(matrix, np.zeros((1, 3)), empty[None]), np.zeros((1, 2)))
-    with pytest.raises(ParameterError):
-        support_matvec(matrix, np.ones((1, 2)), np.arange(2)[None])
 
 
 @settings(max_examples=200, deadline=None)

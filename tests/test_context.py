@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from spikeseq.codes import CodeParams, random_firing, to_significance
+from spikeseq.codes import CodeParams, random_firing
 from spikeseq.context import (
     ContextConfig,
     ContextState,
@@ -21,32 +21,32 @@ def is_canonical(v, params):
     )
 
 
+_P = CodeParams(4, 2, 0.5)
+
+
 def _cfg(lam):
     """A config of four neurons, two active, drawn from seed 0."""
-    return ContextConfig(lam, CodeParams(4, 2, 0.5), np.random.default_rng(0))
+    return ContextConfig(lam, _P, np.random.default_rng(0))
 
 
-def _state(vector):
-    """A block of one chain whose context is the vector."""
-    vector = np.array(vector)
-    return ContextState(vector[None], np.flatnonzero(vector)[None])
+def _state(firing):
+    """A block of one chain of _cfg's geometry whose context is the firing order."""
+    return ContextState(np.array([firing]), _P)
 
 
 def _drawn(p, rng):
-    """The significance row of one random code."""
-    return to_significance(random_firing(1, p, rng), p)[0]
+    """The firing order of one random code, a block of one."""
+    return random_firing(1, p, rng)
 
 
 def _drawn_state(p, rng):
     """A block of one chain whose context is a random code."""
-    return _state(_drawn(p, rng))
+    return ContextState(_drawn(p, rng), p)
 
 
-def _update(prev, input_vec, cfg):
-    """update_context of a block of one chain, given the input vector."""
-    input_vec = np.asarray(input_vec)
-    terms = input_terms(input_vec[None], np.flatnonzero(input_vec)[None], cfg)
-    return update_context(prev, terms, cfg)
+def _update(prev, firing, cfg):
+    """update_context of a block of one chain, given its input's firing order."""
+    return update_context(prev, input_terms(firing, cfg), cfg)
 
 
 def test_start_state_is_empty_and_updates_carry_their_support():
@@ -54,12 +54,10 @@ def test_start_state_is_empty_and_updates_carry_their_support():
     p = CodeParams(m, n, 0.9)
     rng = np.random.default_rng(4)
     cfg = ContextConfig(0.6, p, rng)
-    state = ContextState.start(m, 1)
-    assert not state.vector.any() and state.support.size == 0
+    state = None
     for _ in range(20):
         firing = random_firing(1, p, rng)
-        terms = input_terms(to_significance(firing, p), np.sort(firing, axis=1), cfg)
-        state = update_context(state, terms, cfg)
+        state = update_context(state, input_terms(firing, cfg), cfg)
         assert state.support.dtype == np.intp
         assert np.array_equal(state.support[0], np.flatnonzero(state.vector[0]))
 
@@ -121,11 +119,10 @@ def test_histories_diverge_with_positive_gate():
 def test_degenerate_blend_raises():
     # gate 1 scales every input term to zero, and the empty start history
     # adds no history term; at gate 0 an all-zero row of terms has no drive
-    x = np.array([0.0, 0.0, 1.0, 0.5])
     with pytest.raises(DegenerateInputError):
-        _update(ContextState.start(4, 1), x, _cfg(1.0))
+        _update(None, np.array([[2, 3]]), _cfg(1.0))
     with pytest.raises(DegenerateInputError):
-        update_context(_state([1.0, 0.5, 0.0, 0.0]), np.zeros((1, 4)), _cfg(0.0))
+        update_context(_state([0, 1]), np.zeros((1, 4)), _cfg(0.0))
 
 
 def test_config_validation():
@@ -134,15 +131,20 @@ def test_config_validation():
         ContextConfig(1.5, p, np.random.default_rng(0))
     cfg = _cfg(0.5)
     with pytest.raises(ParameterError):
-        _update(ContextState.start(4, 1), np.zeros(3), cfg)
+        update_context(None, np.zeros((1, 3)), cfg)
     with pytest.raises(ParameterError, match="input terms"):
-        update_context(ContextState.start(4, 2), np.zeros((1, 4)), cfg)
+        update_context(ContextState(np.array([[0, 1], [2, 3]]), p), np.zeros((1, 4)), cfg)
+    # a context of another M would gather the wrong projection columns
+    for other in (CodeParams(3, 2, 0.5), CodeParams(8, 2, 0.5)):
+        with pytest.raises(ParameterError, match="^codes of M=[38] meet a matrix of 4 columns$"):
+            update_context(ContextState(np.array([[0, 1]]), other), np.zeros((1, 4)), cfg)
 
 
 def test_non_finite_input_rejected():
+    # a NaN term reaches the blended drive, whose top-N selection rejects it
     cfg = _cfg(0.5)
     with pytest.raises(ParameterError, match="non-finite"):
-        _update(_state([1.0, 0.5, 0.0, 0.0]), np.array([0.0, np.nan, 1.0, 0.5]), cfg)
+        update_context(_state([0, 1]), np.array([[0.0, np.nan, 1.0, 0.5]]), cfg)
 
 
 @pytest.mark.parametrize(
@@ -173,3 +175,38 @@ def test_config_is_built_from_the_gate_the_geometry_and_a_generator():
         "lambda_gate", "code_params", "rng"
     ]
     assert not hasattr(_cfg(0.5), "rng")
+
+
+@pytest.mark.parametrize(
+    "firing, message",
+    [
+        ([[0, 1]], "has shape"),  # a list
+        (np.array([0, 1]), "has shape"),  # a 1-D block
+        (np.array([[0, 1, 2]]), "has shape"),  # the wrong width
+        (np.array([[0, 4]]), "below 4"),  # an index of M
+        (np.array([[0.0, 1.0]]), "below 4"),  # a float index
+        (np.array([[0, 1], [2, 2]]), "distinct"),  # a repeated index
+        (np.array([[-1, 3]]), "distinct"),  # -1 beside M-1: the same neuron
+    ],
+)
+def test_a_context_is_a_block_of_codes(firing, message):
+    with pytest.raises(ParameterError, match=message):
+        ContextState(firing, _P)
+
+
+def test_a_context_counts_only_the_significances_that_do_not_underflow():
+    # 176 of these 500 significances are 0: a valid code has 324 non-zeros
+    p = CodeParams(1000, 500, 0.1)
+    assert np.count_nonzero(p.significances) == 324
+    state = ContextState(random_firing(2, p, np.random.default_rng(0)), p)
+    assert np.count_nonzero(state.vector) == 2 * 324
+
+
+def test_a_context_derives_canonical_rows_and_sorted_supports_from_its_firing():
+    p = CodeParams(64, 6, 0.9)
+    firing = random_firing(5, p, np.random.default_rng(6))
+    state = ContextState(firing, p)
+    for b in range(5):
+        assert is_canonical(state.vector[b], p)
+        assert state.vector[b, firing[b]].tolist() == p.significances.tolist()
+        assert state.support[b].tolist() == sorted(firing[b].tolist())

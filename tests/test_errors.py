@@ -10,8 +10,8 @@ import re
 import numpy as np
 import pytest
 
-from spikeseq.codes import CodeParams, nofm, random_firing, support_matvec, to_significance
-from spikeseq.context import ContextConfig, ContextState, input_terms, update_context
+from spikeseq.codes import CodeParams, nofm, random_firing
+from spikeseq.context import ContextConfig, ContextState, update_context
 from spikeseq.errors import ParameterError, check_matrix
 from spikeseq.posenc import gram_matrix
 from spikeseq.sdm import ActivationPattern, CorrelationMatrix, cmm_read, cmm_write
@@ -21,11 +21,10 @@ P = CodeParams(8, 3, 0.9)
 
 
 def _parts():
-    """A config, two contexts with their supports, and a codebook of M=8, N=3."""
+    """A config, two contexts and a codebook of M=8, N=3."""
     rng = np.random.default_rng(0)
     cfg = ContextConfig(0.5, P, rng)
-    firing = random_firing(2, P, rng)
-    contexts = ContextState(to_significance(firing, P), np.sort(firing, axis=1))
+    contexts = ContextState(random_firing(2, P, rng), P)
     return cfg, contexts, Codebook.random(4, P, rng)
 
 
@@ -37,15 +36,7 @@ def _wider_pattern():
 
 
 _CASES = {
-    "support_matvec": (
-        lambda cfg, ctx, cb: support_matvec(cfg.p1, np.ones((2, 5)), ctx.support),
-        "v has shape (2, 5), expected (B, 8)",
-    ),
     "nofm": (lambda cfg, ctx, cb: nofm(np.ones((1, 9)), P), "v has shape (1, 9), expected (B, 8)"),
-    "input_terms": (
-        lambda cfg, ctx, cb: input_terms(np.ones((2, 5)), ctx.support, cfg),
-        "vectors has shape (2, 5), expected (B, 8)",
-    ),
     "update_context": (
         lambda cfg, ctx, cb: update_context(ctx, np.ones((1, 8)), cfg),
         "input terms has shape (1, 8), expected (2, 8)",

@@ -10,9 +10,9 @@ most M=32 neurons, W=64 locations and A=8 symbols, and nothing starts a
 thread. A machine snapshot that was truncated, extended or had one byte
 changed raises ParameterError. A step kernel gets valid arguments of a
 small geometry (M=8, N=3, W=16, A=4) beside the fuzzed array or symbol,
-and so do the values built from outside input: an address decoder or a
-codebook from a fuzzed firing block, a correlation matrix from a fuzzed
-matrix (at most 16 on a side).
+and so do the values built from outside input: an address decoder, a
+codebook or context states from a fuzzed firing block, a correlation
+matrix from a fuzzed matrix (at most 16 on a side).
 """
 
 import dataclasses
@@ -28,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from spikeseq.codes import CodeParams, nofm, random_firing, support_matvec, to_significance
+from spikeseq.codes import CodeParams, nofm, random_firing
 from spikeseq.context import ContextConfig, ContextState, input_terms, update_context
 from spikeseq.errors import ParameterError, SpikeSeqError
 from spikeseq.posenc import (
@@ -284,10 +284,9 @@ def test_context_config(lambda_gate, m, rng):
     cfg = _finite_or_rejected(ContextConfig, lambda_gate, params, rng)
     if cfg is not None:  # an accepted config steps without overflow
         firing = random_firing(2, params, np.random.default_rng(0))
-        codes = ContextState(to_significance(firing, params), np.sort(firing, axis=1))
-        terms = _finite_or_rejected(input_terms, codes.vector, codes.support, cfg)
+        terms = _finite_or_rejected(input_terms, firing, cfg)
         if terms is not None:
-            _finite_or_rejected(update_context, codes, terms, cfg)
+            _finite_or_rejected(update_context, ContextState(firing, params), terms, cfg)
 
 
 @functools.cache
@@ -327,6 +326,18 @@ def test_load_machine(data):
 _PARAMS = CodeParams(8, 3, 0.9)
 # rows for a block of two chains, finite or not half the time, else anything
 _ROWS = st.one_of(_arrays((2, 8)), _arrays((2, 8), _FINITE_FLOATS), _ENCODINGS)
+# firing blocks of N=3 codes over M=8: valid ones, integer blocks with
+# indices out of range or repeated, past int64, float, ragged and junk
+_CODES = st.lists(st.permutations(range(8)).map(lambda order: order[:3]), min_size=1, max_size=8)
+_FIRING = st.one_of(
+    _CODES,
+    arrays(np.intp, st.tuples(st.integers(0, 8), st.integers(0, 4)), elements=st.integers(-2, 9)),
+    arrays(np.uint64, st.tuples(st.integers(0, 4), st.just(3)), elements=st.integers(0, 2**64 - 1)),
+    st.lists(st.lists(st.integers(-2**70, 2**70), min_size=3, max_size=3), max_size=4),
+    _MATRICES,
+    _RAGGED,
+    _JUNK,
+)
 
 
 @functools.cache
@@ -336,8 +347,7 @@ def _parts():
     rng = np.random.default_rng(0)
     cb = Codebook.random(4, _PARAMS, rng)
     cfg = ContextConfig(0.5, _PARAMS, rng)
-    firing = random_firing(2, _PARAMS, rng)
-    contexts = ContextState(to_significance(firing, _PARAMS), np.sort(firing, axis=1))
+    contexts = ContextState(random_firing(2, _PARAMS, rng), _PARAMS)
     return cb, cfg, AddressDecoder.random(16, _PARAMS, 1), contexts
 
 
@@ -350,17 +360,10 @@ def test_nofm(v):
 
 
 @_FUZZ
-@given(v=_ROWS)
-def test_support_matvec(v):
+@given(firing=_FIRING, terms=_ROWS)
+def test_context_kernels(firing, terms):
     _, cfg, _, contexts = _parts()
-    _finite_or_rejected(support_matvec, cfg.p1, v, contexts.support)
-
-
-@_FUZZ
-@given(vectors=_ROWS, terms=_ROWS)
-def test_context_kernels(vectors, terms):
-    _, cfg, _, contexts = _parts()
-    _finite_or_rejected(input_terms, vectors, contexts.support, cfg)
+    _finite_or_rejected(input_terms, firing, cfg)
     _finite_or_rejected(update_context, contexts, terms, cfg)
 
 
@@ -376,13 +379,17 @@ def test_memory_kernels(data, threshold):
 
 
 @_FUZZ
-@given(row=_arrays(8), threshold=st.floats(0.0, 1.0))
-@example(row=np.full(8, 1e300), threshold=0.5)  # warned of an overflow before it raised
-def test_decode_address(row, threshold):
-    # one chain of any values, with its non-zeros as its support
-    dec = _parts()[2]
-    _finite_or_rejected(decode_address, ContextState(row[None], np.flatnonzero(row)[None]), dec,
-                        threshold)
+@given(firing=st.one_of(_CODES.map(np.array), _FIRING), threshold=st.floats(0.0, 1.0))
+@example(firing=np.array([[0, 1, 2], [7, 1, -1]]), threshold=0.5)  # -1 beside 7: a repeat
+def test_decode_address(firing, threshold):
+    # contexts from any firing block: a ParameterError or a finite pattern
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            contexts = ContextState(firing, _PARAMS)
+        except ParameterError:
+            return
+    _finite_or_rejected(decode_address, contexts, _parts()[2], threshold)
 
 
 @_FUZZ
@@ -394,19 +401,6 @@ def test_codebook_kernels(bursts, symbol):
 
 
 # ---------------------------------------------------------------- values
-
-# firing blocks of N=3 codes over M=8: valid ones, integer blocks with
-# indices out of range or repeated, past int64, float, ragged and junk
-_FIRING = st.one_of(
-    st.lists(st.permutations(range(8)).map(lambda order: order[:3]), min_size=1, max_size=8),
-    arrays(np.intp, st.tuples(st.integers(0, 8), st.integers(0, 4)), elements=st.integers(-2, 9)),
-    arrays(np.uint64, st.tuples(st.integers(0, 4), st.just(3)), elements=st.integers(0, 2**64 - 1)),
-    st.lists(st.lists(st.integers(-2**70, 2**70), min_size=3, max_size=3), max_size=4),
-    _MATRICES,
-    _RAGGED,
-    _JUNK,
-)
-
 
 @_FUZZ
 @given(

@@ -293,7 +293,7 @@ def test_codebook_is_a_frozen_value():
     assert cb.firing.dtype == np.intp and cb.firing.shape == (5, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cb.firing = cb.firing[:2]
-    for array in (cb.firing, cb.encode_matrix, cb.supports):
+    for array in (cb.firing, cb.encode_matrix):
         with pytest.raises(ValueError):
             array[0, 0] = 1
 
@@ -342,13 +342,6 @@ def test_decode_non_finite_burst_rejected(bad):
     burst[0] = bad
     with pytest.raises(ParameterError, match="non-finite"):
         decode_burst(m.codebook, burst[None])
-
-
-def test_codebook_caches_ascending_supports():
-    cb = Codebook.random(26, CodeParams(256, 11, 0.9), np.random.default_rng(12))
-    assert len(cb.supports) == 26
-    for row, support in zip(cb.encode_matrix, cb.supports):
-        assert np.array_equal(support, np.flatnonzero(row))
 
 
 def test_recall_leaves_the_machine_unchanged_and_interleaves():
@@ -728,6 +721,7 @@ def test_values_that_hold_arrays_compare_by_identity():
          ContextConfig(0.5, p, np.random.default_rng(0)), "p1"),
         (AddressDecoder.random(16, p, 1), AddressDecoder.random(16, p, 1), "firing"),
         (Codebook(p, firing), Codebook(p, firing), "firing"),
+        (ContextState(firing, p), ContextState(firing, p), "firing"),
     ]
     for a, b, array in pairs:
         assert np.array_equal(getattr(a, array), getattr(b, array))
@@ -735,7 +729,6 @@ def test_values_that_hold_arrays_compare_by_identity():
         assert a == a and len({a, b}) == 2
     inputs = AttentionInputs(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)))
     for value in (
-        ContextState.start(8, 1),
         ActivationPattern(np.zeros((1, 4))),
         CorrelationMatrix.zeros(8, 4),
         inputs,

@@ -1,10 +1,12 @@
-"""The two tools that decide a change's acceptance numbers: the paired
-benchmark comparison (``tools/bench_pairs.py``) and the ``src/`` code-line
-count (``tools/src_code_lines.py``). Both are imported by path; no
-benchmark runs.
+"""The tools that decide a change's acceptance numbers: the paired
+benchmark comparison (``tools/bench_pairs.py``), the in-process A/B of
+the engine loops (``tools/ab_inprocess.py``) and the ``src/`` code-line
+count (``tools/src_code_lines.py``). All are imported by path; no
+benchmark or timed loop runs.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ def _load(name):
     return module
 
 
+ab_inprocess = _load("ab_inprocess")
 bench_pairs = _load("bench_pairs")
 src_code_lines = _load("src_code_lines")
 
@@ -90,3 +93,28 @@ def test_code_lines_counts_only_lines_that_hold_code(tmp_path):
     )
     # import, def, the two lines of the assignment, return
     assert src_code_lines.code_lines(module) == 5
+
+
+def test_ab_loader_imports_each_tree_as_an_independent_package():
+    root = _TOOLS.parent
+    a = ab_inprocess.load_tree(root, "spikeseq_ab_test_a")
+    b = ab_inprocess.load_tree(root, "spikeseq_ab_test_b")
+    assert a.__name__ == "spikeseq_ab_test_a.seqmachine"
+    assert b.__name__ == "spikeseq_ab_test_b.seqmachine"
+    # each copy has modules and classes of its own
+    assert a is not b and a.SequenceMachine is not b.SequenceMachine
+    assert a.CodeParams is not b.CodeParams
+    assert sys.modules["spikeseq_ab_test_a.codes"] is not sys.modules["spikeseq_ab_test_b.codes"]
+    ab_inprocess.check_same_machines(a, b)
+
+
+def test_ab_summary_gives_medians_minima_the_median_ratio_and_wins():
+    parent = [0.010, 0.012, 0.011, 0.020]
+    change = [0.009, 0.012, 0.0099, 0.010]
+    fields = ab_inprocess.summarize("loop", parent, change).split()
+    assert fields[0] == "loop"
+    # medians and minima in ms
+    assert fields[1:5] == ["parent", "median", "11.500", "min"] and fields[5] == "10.000"
+    assert fields[6:9] == ["change", "median", "9.950"] and fields[10] == "9.000"
+    # per-round ratios 0.9, 1.0, 0.9, 0.5: median 0.9; a tie is no win
+    assert fields[11:] == ["ratio", "0.9000", "wins", "3/4"]
