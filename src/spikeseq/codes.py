@@ -176,9 +176,9 @@ def to_significance(firing: IndexVector, params: CodeParams, order: str = "C") -
 
     The orders are not range-checked (:func:`check_firing` is the check of
     orders from outside): an index of M or more and a float index are a
-    ParameterError, and a negative index counts from the end, as numpy's do.
-    Anything but a 2-D, N wide array is a ParameterError; it is not
-    converted, so a list is one too.
+    ParameterError, and a negative index counts from the end, as numpy's do
+    (-1 is neuron M-1). Anything but a 2-D, N wide array is a
+    ParameterError; it is not converted, so a list is one too.
     """
     if not isinstance(firing, np.ndarray) or firing.ndim != 2 or firing.shape[1] != params.n_active:
         shape = np.array(firing, dtype=object).shape  # a ragged list has one as objects

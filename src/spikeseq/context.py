@@ -65,11 +65,8 @@ __all__ = ["ContextConfig", "ContextState", "input_terms", "update_context"]
 
 
 def _scale(v: FloatVector) -> FloatVector:
-    """L2-normalize each row; a zero row maps to itself."""
-    n = vector_norm(v)
-    if 0.0 in n.tolist():  # a few floats: cheaper in Python than a masked write
-        n[n == 0.0] = 1.0
-    return v / n[:, None]
+    """L2-normalize each row."""
+    return v / vector_norm(v)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +111,8 @@ class ContextState:
     would cost every step about 1.5 us, a fifth of building the state.
     Raises ParameterError when the firing orders are not a 2-D, N wide
     integer array with indices below M
-    (:func:`~spikeseq.codes.to_significance`) and when an index repeats
-    within a code: a row then has fewer non-zeros than the significances
-    of ``code_params``. A negative index counts from the end, as numpy's
-    do.
+    (:func:`~spikeseq.codes.to_significance`), and when an index of a code
+    repeats or is negative, both found on its sorted support.
     """
 
     firing: IndexVector
@@ -128,11 +123,12 @@ class ContextState:
     def __post_init__(self) -> None:
         p = self.code_params
         vector = to_significance(self.firing, p)
-        # significances that underflow to 0 leave no non-zero, repeated or not
-        if np.count_nonzero(vector) != len(vector) * np.count_nonzero(p.significances):
-            raise ParameterError("the indices of a code must be distinct")
+        support = np.sort(self.firing, axis=1)
+        # a few rows of N ints: cheaper in Python than a numpy test at one chain
+        if any(len(set(r)) < p.n_active or r[0] < 0 for r in support.tolist()):
+            raise ParameterError("the indices of a code must be distinct and non-negative")
         object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "support", np.sort(self.firing, axis=1))
+        object.__setattr__(self, "support", support)
 
 
 def input_terms(firing: IndexVector, cfg: ContextConfig) -> FloatVector:

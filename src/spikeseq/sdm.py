@@ -25,10 +25,10 @@ an :class:`ActivationPattern` of (B, W) weights, a write takes (B, M) data
 rows and a read returns (B, N) firing orders and B confidences.
 
 Every per-step operation touches only the supports: a context has N of M
-entries non-zero and a few of the W locations are active. Each carries its
-support: a context state its ascending N indices per chain, an activation
-pattern the active locations of each chain, found once when the pattern is
-made.
+entries non-zero and a few of the W locations are active. A context state
+carries its ascending N indices per chain; an activation pattern is its
+weights alone, and a write or a read finds each chain's active locations,
+its non-zero weights, in the loop over chains where it uses them.
 The address matrix (W, M) and the correlation matrix (M, W) are stored
 column-major, so that addressing gathers the N address columns of each
 context's support. A write is a scatter-max over data support x active
@@ -160,25 +160,19 @@ class AddressDecoder:
 class ActivationPattern:
     """Per-location contribution weights of B chains, (B, W); zero below the threshold.
 
-    ``active[b]`` holds chain b's locations with a non-zero weight,
-    ascending; they are found once, when the pattern is made, and reads and
-    writes use them. Weights that are not a 2-D float64 ndarray are a
-    ParameterError.
+    A chain's active locations are those with a non-zero weight. Weights
+    that are not a 2-D float64 ndarray are a ParameterError.
     """
 
     weights: FloatVector
-    active: list[IndexVector] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_float_matrix("weights", self.weights)
-        # one search per chain: cheaper than a 2-D nonzero at one chain, and
-        # reads and writes take a chain's locations without slicing them out
-        object.__setattr__(self, "active", [(w != 0.0).nonzero()[0] for w in self.weights])
 
     @property
     def n_active(self) -> int:
         """Active (chain, location) pairs of the whole block."""
-        return sum(a.size for a in self.active)
+        return int(np.count_nonzero(self.weights))
 
 
 def _address_similarity(context: ContextState, dec: AddressDecoder) -> FloatVector:
@@ -236,27 +230,27 @@ def cmm_write(
     """In-place max outer-product write of each chain's data row; returns the matrix.
 
     ``data`` holds one row per chain of the activation. For each chain only
-    the block data support x active locations is read and written: outside
+    the block data support x active locations (its non-zero weights, found
+    in the loop over chains) is read and written: outside
     it the outer product is zero and the non-negative matrix keeps its
     value under the max, so a chain with no active location writes nothing.
     Activation weights not W wide and data that is not a (B, M) float
     matrix, for the matrix's M rows and W locations and the activation's B
     chains, are a ParameterError (:func:`~spikeseq.errors.check_matrix`),
     and so are data or activation weights that are negative or not finite:
-    the max would lose them or store NaN. The matrix is then unchanged.
+    the max would lose them or store NaN. The weights of every chain are
+    checked in one pass before the first write, so the matrix is then
+    unchanged.
     """
     weights = check_matrix("activation weights", activation.weights, cols=cmm.w.shape[1])
     data = check_matrix("data", data, weights.shape[0], cmm.w.shape[0])
     _check_non_negative("data", data)
-    # a NaN, inf or negative weight is non-zero, so it is active: checking
-    # every chain's active weights before the first write is enough
-    active_weights = [weights[b][cols] for b, cols in enumerate(activation.active)]
-    for w in active_weights:
-        _check_non_negative("activation weights", w)
-    for b, cols in enumerate(activation.active):
-        rows = (data[b] != 0.0).nonzero()[0]
+    _check_non_negative("activation weights", weights)
+    for w, d in zip(weights, data):
+        # the comparison, not w.nonzero(): several times faster on a float row
+        cols, rows = (w != 0.0).nonzero()[0], (d != 0.0).nonzero()[0]
         block = (rows[:, None], cols)
-        cmm.w[block] = np.maximum(cmm.w[block], np.outer(data[b][rows], active_weights[b]))
+        cmm.w[block] = np.maximum(cmm.w[block], np.outer(d[rows], w[cols]))
     return cmm
 
 
@@ -265,20 +259,22 @@ def cmm_read(
 ) -> tuple[IndexVector, FloatVector]:
     """Read each chain through its active locations and re-impose the N-of-M structure.
 
-    Returns ((B, N) firing orders, (B,) confidences). A confidence is the
-    chain's summed activation weight, forced to 0.0 when its readout is
-    all-zero: nothing stored where it looked, or no location active, which
-    is an empty read. The firing orders of a confidence-0 chain are those
-    of a zero row and carry no information. Activation weights that are
-    not as wide as the matrix's W locations raise ParameterError, and so do
-    params whose M is not the matrix's row count.
+    A chain's active locations are its non-zero weights, found in the loop
+    over chains. Returns ((B, N) firing orders, (B,) confidences). A
+    confidence is the chain's summed activation weight, forced to 0.0 when
+    its readout is all-zero: nothing stored where it looked, or no location
+    active, which is an empty read. The firing orders of a confidence-0
+    chain are those of a zero row and carry no information. Activation
+    weights that are not as wide as the matrix's W locations raise
+    ParameterError, and so do params whose M is not the matrix's row count.
     """
     weights = check_matrix("activation weights", activation.weights, cols=cmm.w.shape[1])
     if params.m_total != cmm.w.shape[0]:
         raise ParameterError(f"params have M={params.m_total}, the matrix {cmm.w.shape[0]} rows")
     readout = np.empty((weights.shape[0], cmm.w.shape[0]))
-    for b, cols in enumerate(activation.active):
-        readout[b] = cmm.w[:, cols] @ weights[b][cols]
+    for b, w in enumerate(weights):
+        cols = (w != 0.0).nonzero()[0]
+        readout[b] = cmm.w[:, cols] @ w[cols]
     # the sum over all W weights, not only the active ones: another summation
     # order would move the last ulp of the confidence
     confidence = np.where(readout.any(axis=1), weights.sum(axis=1), 0.0)

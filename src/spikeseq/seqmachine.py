@@ -30,8 +30,9 @@ Every code on the step path is a block of firing orders, and each
 container of codes is a frozen value over its block that derives the rest
 once: the codebook caches each codeword's significance row, a context
 state holds the rows and ascending supports of the codes its update
-selected, a read returns firing orders that decoding turns into rows, and
-an activation pattern holds the locations it found active. The machine
+selected, and a read returns firing orders that decoding turns into rows.
+An activation pattern is its (B, W) weights alone: a write or a read
+finds each chain's active locations where it uses them. The machine
 builds the input term of every codeword once, at construction, from the
 codebook's firing block (:func:`~spikeseq.context.input_terms`), and an
 update adds the row of each chain's symbol. A run starts from the empty
@@ -185,7 +186,9 @@ def decode_burst(cb: Codebook, bursts: FloatVector) -> tuple[IndexVector, FloatV
 
     Scores every symbol by cosine similarity to each of the (B, M) bursts;
     returns (symbols, margins), each (B,), where a margin is best minus
-    second-best score and ties fall to the lower symbol index. A burst is
+    second-best score and ties fall to the lower symbol index. A codebook
+    of one codeword has no second-best score: the symbol is 0 and the
+    margin is the codeword's cosine with the burst. A burst is
     any float row, not only a code, so its norm is checked here: raises
     ParameterError on bursts that are not a (B, M) float matrix
     (:func:`~spikeseq.errors.check_matrix`) and on a burst that is
@@ -368,7 +371,7 @@ def recall_sequences(
             if halts[b] is None and c:
                 out[b].append(RecallStep(s, mg, c))
             elif halts[b] is None:
-                halts[b] = ("confidence 0 too low" if act.active[b].size
+                halts[b] = ("confidence 0 too low" if act.weights[b].any()
                             else "no active memory location")
         if all(halts):
             break

@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from spikeseq.codes import CodeParams, random_firing
+from spikeseq.codes import CodeParams, random_firing, to_significance
 from spikeseq.context import (
     ContextConfig,
     ContextState,
@@ -187,6 +187,7 @@ def test_config_is_built_from_the_gate_the_geometry_and_a_generator():
         (np.array([[0.0, 1.0]]), "below 4"),  # a float index
         (np.array([[0, 1], [2, 2]]), "distinct"),  # a repeated index
         (np.array([[-1, 3]]), "distinct"),  # -1 beside M-1: the same neuron
+        (np.array([[-1, 0]]), "non-negative"),  # a lone -1, which numpy wraps to M-1
     ],
 )
 def test_a_context_is_a_block_of_codes(firing, message):
@@ -200,6 +201,17 @@ def test_a_context_counts_only_the_significances_that_do_not_underflow():
     assert np.count_nonzero(p.significances) == 324
     state = ContextState(random_firing(2, p, np.random.default_rng(0)), p)
     assert np.count_nonzero(state.vector) == 2 * 324
+
+
+def test_a_context_rejects_a_repeat_among_the_significances_that_underflow():
+    # the last two ranks both have significance 0: the row has its 324
+    # non-zeros, and the support alone shows the repeat
+    p = CodeParams(1000, 500, 0.1)
+    firing = random_firing(1, p, np.random.default_rng(0))
+    firing[0, -1] = firing[0, -2]
+    assert np.count_nonzero(to_significance(firing, p)) == 324
+    with pytest.raises(ParameterError, match="distinct"):
+        ContextState(firing, p)
 
 
 def test_a_context_derives_canonical_rows_and_sorted_supports_from_its_firing():

@@ -451,5 +451,6 @@ def test_correlation_matrix(w, threshold):
     data = np.full((2, 8), 0.9)
     if _finite_or_rejected(cmm_write, cmm, activation, data) is not None:
         # the written cells hold at least the products of the write
-        for b, cols in enumerate(activation.active):
+        for b in range(len(activation.weights)):
+            cols = np.flatnonzero(activation.weights[b])
             assert (cmm.w[:, cols] >= np.outer(data[b], activation.weights[b, cols])).all()

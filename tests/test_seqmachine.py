@@ -96,6 +96,31 @@ def test_decode_zero_burst_rejected():
         decode_burst(m.codebook, np.zeros((1, 256)))
 
 
+def test_decode_with_one_codeword_gives_its_cosine_as_the_margin():
+    # no second-best score to subtract: the margin is the one score, of any sign
+    p = CodeParams(8, 3, 0.5)
+    cb = Codebook(p, np.array([[2, 0, 5]]))
+    code = cb.encode_matrix[0]
+    bursts = np.array([[0.0, 1.0, 2.0, 0.0, 0.0, 0.5, 0.0, 3.0], -code, 2.0 * code])
+    symbols, margins = decode_burst(cb, bursts)
+    assert symbols.tolist() == [0, 0, 0]
+    cosines = bursts @ code / (np.linalg.norm(bursts, axis=1) * np.linalg.norm(code))
+    np.testing.assert_allclose(margins, cosines, rtol=1e-14)
+    np.testing.assert_allclose(margins[1:], [-1.0, 1.0], rtol=1e-15)
+
+
+def test_a_one_symbol_machine_recalls_its_one_symbol():
+    m = SequenceMachine(alphabet_size=1, seed=0)
+    learn_sequence(m, [0] * 6)
+    result = recall_sequence(m, [0], 5)
+    assert result.symbols == [0] * 5
+    assert result.halt_reason is None
+    # the read is the codeword's own code: its cosine, unclipped, is 1 up to rounding
+    for step in result.steps:
+        assert step.margin == pytest.approx(1.0, rel=1e-15)
+        assert step.confidence > 0.0
+
+
 def test_learn_empty_and_single_are_noops():
     m = SequenceMachine(seed=1)
     learn_sequence(m, [])

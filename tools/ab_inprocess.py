@@ -18,6 +18,10 @@ machines of the default geometry:
   sequences of 16 symbols, at W=512 (``recall_sequence``);
 - ``learn_w4096``: ``learn_sequence`` of four sequences of 24 symbols
   into a machine of W=4096;
+- ``learn_b20``: ``learn_sequences`` of 20 sequences of 8 symbols, in
+  one lockstep block, into a W=512 memory cleared before each call;
+- ``recall_b20``: ``recall_sequences`` of the 20 first-symbol cues of
+  those sequences for 7 steps, from the memory they leave;
 - ``capacity``: one trial, ``capacity_experiment(n_seeds=1)``;
 - ``construct_w512`` and ``construct_w4096``: ``SequenceMachine(n_locations=W)``.
 
@@ -25,9 +29,10 @@ Then one line per loop gives each tree's median and minimum time in ms,
 the median of the per-round ratios (change over parent) and the rounds
 the change wins (a tie counts for neither). The loops call only
 ``SequenceMachine``, ``sample_sequences``, ``learn_sequence``,
-``recall_sequence`` and ``capacity_experiment``, whose signatures both
-trees must share; the check reads the machines' ``threshold`` and
-``input_table``.
+``learn_sequences``, ``recall_sequence``, ``recall_sequences``,
+``capacity_experiment`` and ``CorrelationMatrix.zeros``, as ``seqmachine``
+names them, whose signatures both trees must share; the check reads the
+machines' ``threshold`` and ``input_table``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from types import ModuleType
 
 import numpy as np
 
-_LOOPS = ("recall_w512", "learn_w4096", "capacity", "construct_w512", "construct_w4096")
+_LOOPS = ("recall_w512", "learn_w4096", "learn_b20", "recall_b20", "capacity",
+          "construct_w512", "construct_w4096")
 
 
 def load_tree(checkout: Path, name: str) -> ModuleType:
@@ -67,6 +73,11 @@ def loops(sm: ModuleType) -> dict:
     cues = [(seq[:k], len(seq) - k) for seq in stored[:2] for k in range(1, len(seq))]
     learn_m = sm.SequenceMachine(n_locations=4096, seed=0)
     learned = sm.sample_sequences(np.random.default_rng(1), 4, 24, 26)
+    # the 20-chain block learned once here, and again by every learn_b20 call
+    block_m = sm.SequenceMachine(n_locations=512, seed=0)
+    block = sm.sample_sequences(np.random.default_rng(2), 20, 8, 26)
+    sm.learn_sequences(block_m, block)
+    block_cues = [seq[:1] for seq in block]
 
     def recall():
         for cue, steps in cues:
@@ -76,9 +87,15 @@ def loops(sm: ModuleType) -> dict:
         for seq in learned:
             sm.learn_sequence(learn_m, seq)
 
+    def learn_block():
+        block_m.memory = sm.CorrelationMatrix.zeros(*block_m.memory.w.shape)
+        sm.learn_sequences(block_m, block)
+
     return {
         "recall_w512": recall,
         "learn_w4096": learn,
+        "learn_b20": learn_block,
+        "recall_b20": lambda: sm.recall_sequences(block_m, block_cues, 7),
         "capacity": lambda: sm.capacity_experiment(n_seeds=1),
         "construct_w512": lambda: sm.SequenceMachine(n_locations=512, seed=0),
         "construct_w4096": lambda: sm.SequenceMachine(n_locations=4096, seed=0),
